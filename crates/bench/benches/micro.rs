@@ -160,26 +160,36 @@ fn alu_bound_kernel() -> Kernel {
     b.build()
 }
 
-/// Measure simulator throughput for one kernel under one loop kind: median
-/// wall seconds per run, printed as simulated cycles and warp instructions
-/// per wall-second.
-fn sim_throughput(
-    tag: &str,
-    kernel: &Kernel,
+/// One simulator-throughput case: a 1-D launch of `kernel` on `num_sms` SMs.
+struct SimCase {
+    tag: &'static str,
+    kernel: Kernel,
     grid: u32,
     block: u32,
-    bufs: &[u64],
-    kind: LoopKind,
-    threads: u32,
-) -> (f64, Stats) {
+    bufs: Vec<u64>,
+    num_sms: u32,
+}
+
+/// Measure simulator throughput for one case under one loop kind: median
+/// wall seconds per run, printed as simulated cycles and warp instructions
+/// per wall-second.
+fn sim_throughput(c: &SimCase, kind: LoopKind, threads: u32) -> (f64, Stats) {
+    let SimCase {
+        tag,
+        kernel,
+        grid,
+        block,
+        bufs,
+        num_sms,
+    } = c;
     let cfg = GpuConfig::default()
-        .with_num_sms(8)
+        .with_num_sms(*num_sms)
         .with_loop_kind(kind)
         .with_threads(threads);
     let run = || {
         let mut g = GlobalMem::new();
         let params: Vec<u64> = bufs.iter().map(|&b| g.alloc(b)).collect();
-        let launch = Launch::new(kernel.clone(), Dim3::d1(grid), Dim3::d1(block), params);
+        let launch = Launch::new(kernel.clone(), Dim3::d1(*grid), Dim3::d1(*block), params);
         SimSession::new(&cfg).run(&launch, &mut g).unwrap()
     };
     let stats = run();
@@ -204,8 +214,8 @@ fn sim_throughput(
     (med, stats)
 }
 
-/// The DRAM-bound vs ALU-bound throughput comparison between the two loop
-/// kinds (the headline numbers for the event-driven rewrite).
+/// The DRAM-bound vs ALU-bound vs sparse throughput comparison between the
+/// two loop kinds (the headline numbers for the event-driven loop).
 fn sim_throughput_suite() {
     // DRAM case: occupancy stays fixed at one warp per scheduler (grid 16 x
     // block 64 over 8 SMs); full mode deepens the stall chain instead of
@@ -217,27 +227,50 @@ fn sim_throughput_suite() {
     let ascale = if smoke() { 1 } else { 4 };
     let (agrid, ablock) = (16 * ascale, 128u32);
     let an = u64::from(agrid * ablock);
+    // Sparse case: fewer blocks than the default 80 SMs, the shape of most
+    // figure-sweep launches. Most SMs sit empty and the rest sleep between
+    // DRAM wakeups, so the per-SM wakeups skip nearly every SM pass.
+    let num_sms = GpuConfig::default().num_sms;
+    let (sgrid, sblock) = (num_sms / 4, 64u32);
+    let sn = u64::from(sgrid * sblock);
     let cases = [
         // Low occupancy + serial cold misses: long fully-idle stalls.
-        (
-            "dram_bound",
-            dram_bound_kernel(rounds, dgrid * dblock),
-            dgrid,
-            dblock,
-            vec![u64::from(rounds) * dn * 128, dn * 4],
-        ),
+        SimCase {
+            tag: "dram_bound",
+            kernel: dram_bound_kernel(rounds, dgrid * dblock),
+            grid: dgrid,
+            block: dblock,
+            bufs: vec![u64::from(rounds) * dn * 128, dn * 4],
+            num_sms: 8,
+        },
         // Dense dependent ALU work: near-full issue slots, nothing to skip.
-        ("alu_bound", alu_bound_kernel(), agrid, ablock, vec![an * 4]),
+        SimCase {
+            tag: "alu_bound",
+            kernel: alu_bound_kernel(),
+            grid: agrid,
+            block: ablock,
+            bufs: vec![an * 4],
+            num_sms: 8,
+        },
+        SimCase {
+            tag: "sparse",
+            kernel: dram_bound_kernel(rounds, sgrid * sblock),
+            grid: sgrid,
+            block: sblock,
+            bufs: vec![u64::from(rounds) * sn * 128, sn * 4],
+            num_sms,
+        },
     ];
-    for (tag, k, grid, block, bufs) in cases {
-        let (t_ev, s_ev) = sim_throughput(tag, &k, grid, block, &bufs, LoopKind::EventDriven, 1);
-        let (t_ls, s_ls) = sim_throughput(tag, &k, grid, block, &bufs, LoopKind::Lockstep, 1);
+    for c in &cases {
+        let tag = c.tag;
+        let (t_ev, s_ev) = sim_throughput(c, LoopKind::EventDriven, 1);
+        let (t_ls, s_ls) = sim_throughput(c, LoopKind::Lockstep, 1);
         assert_eq!(s_ev, s_ls, "{tag}: loop kinds must report identical stats");
         println!("{tag:<32} event-driven speedup: {:.2}x\n", t_ls / t_ev);
         // Sharded run: publish a threads=8 throughput metric and hold the
         // bit-identical guarantee. Speedup over threads=1 tracks the host's
         // core count, so only the rate (not a ratio) is gated.
-        let (t_p, s_p) = sim_throughput(tag, &k, grid, block, &bufs, LoopKind::EventDriven, 8);
+        let (t_p, s_p) = sim_throughput(c, LoopKind::EventDriven, 8);
         assert_eq!(s_ev, s_p, "{tag}: threads=8 must report identical stats");
         println!("{tag:<32} threads=8 speedup: {:.2}x\n", t_ev / t_p);
     }

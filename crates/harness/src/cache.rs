@@ -54,12 +54,15 @@ impl Cache {
     }
 
     /// Load the cached record for `spec`, or `None` if absent, unreadable,
-    /// malformed, or recorded for a different spec.
+    /// malformed, or recorded for a different spec. Specs are compared by
+    /// identity ([`JobSpec::canonical`]), so execution knobs such as
+    /// `threads`, which the embedded spec never stores, do not turn a hit
+    /// into a miss.
     pub fn load(&self, spec: &JobSpec) -> Option<RunRecord> {
         let text = std::fs::read_to_string(self.path_for(spec)).ok()?;
         let v = json::parse(&text).ok()?;
         let embedded = JobSpec::from_json(v.get("spec")?)?;
-        if embedded != *spec {
+        if embedded.canonical() != spec.canonical() {
             return None;
         }
         RunRecord::from_json(v.get("record")?)

@@ -169,6 +169,36 @@ fn cache_hits_carry_cached_flag_through_run_records_csv() {
 }
 
 #[test]
+fn thread_count_does_not_split_the_cache() {
+    // `threads` is an execution knob outside the job's identity: an entry
+    // stored at one thread count must answer a probe at any other, in both
+    // directions, without re-simulating.
+    let dir = tmpdir("threads");
+    let cache = Cache::at(&dir);
+    let at = |threads| JobSpec {
+        threads,
+        ..JobSpec::new("NN", Size::Small, ModelSpec::Baseline)
+    };
+    for (stored, probed) in [(0, 4), (4, 0)] {
+        cache.clean().unwrap();
+        let cold = run_jobs_with(&[at(stored)], &quiet(), &cache);
+        assert_eq!((cold.cache_hits, cold.simulated), (0, 1));
+        assert!(
+            cache.load(&at(probed)).is_some(),
+            "{stored}->{probed}: miss"
+        );
+        let warm = run_jobs_with(&[at(probed)], &quiet(), &cache);
+        assert_eq!(
+            (warm.cache_hits, warm.simulated),
+            (1, 0),
+            "stored at threads={stored}, probed at threads={probed}"
+        );
+        assert_eq!(warm.records[0].stats, cold.records[0].stats);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupted_entry_is_a_miss_and_gets_rewritten() {
     // Narrow companion to `corrupted_entries_degrade_to_a_rerun`: one entry,
     // vandalized, must be re-simulated AND the file on disk repaired to a

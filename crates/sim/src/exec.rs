@@ -8,10 +8,20 @@
 
 use crate::linear::{LinearMeta, LinearStore, Phase};
 use crate::mem::GlobalMem;
-use r2d2_isa::{AtomOp, CmpOp, Dst, Kernel, MemOffset, MemSpace, Op, Operand, SfuOp, Special, Ty};
+use r2d2_isa::{
+    AtomOp, CmpOp, Dst, Instr, Kernel, MemOffset, MemSpace, Op, Operand, SfuOp, Special, Ty,
+};
 
 /// Warp width (paper Table 1: SIMD width 32).
 pub const WARP_SIZE: usize = 32;
+
+/// One 64-bit value per lane of a warp.
+type Lanes = [u64; WARP_SIZE];
+
+/// The lane indices set in `mask`, ascending.
+fn lanes_of(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP_SIZE).filter(move |&l| mask & (1 << l) != 0)
+}
 
 /// Sentinel "no reconvergence pc" (reconverge at thread exit).
 pub const NO_RPC: usize = usize::MAX;
@@ -172,18 +182,38 @@ pub struct MemInfo {
 }
 
 impl MemInfo {
-    /// Unique cache-line ids touched (the coalescer's transaction count).
-    pub fn lines(&self, line_size: u64) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::with_capacity(4);
-        for lane in 0..WARP_SIZE {
-            if self.mask & (1 << lane) != 0 {
-                let l = self.addrs[lane] / line_size;
-                if !out.contains(&l) {
-                    out.push(l);
-                }
+    /// Unique cache-line ids touched, in first-touch lane order (the
+    /// coalescer's transactions). At most one line per lane, so the set
+    /// lives inline and the hot loop never allocates for it.
+    pub fn lines(&self, line_size: u64) -> LineSet {
+        let mut out = LineSet {
+            len: 0,
+            ids: [0; WARP_SIZE],
+        };
+        for lane in lanes_of(self.mask) {
+            let l = self.addrs[lane] / line_size;
+            if !out.contains(&l) {
+                out.ids[out.len] = l;
+                out.len += 1;
             }
         }
         out
+    }
+}
+
+/// The distinct cache lines of one warp access ([`MemInfo::lines`]); derefs
+/// to a slice in first-touch order.
+#[derive(Debug, Clone, Copy)]
+pub struct LineSet {
+    len: usize,
+    ids: [u64; WARP_SIZE],
+}
+
+impl std::ops::Deref for LineSet {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.ids[..self.len]
     }
 }
 
@@ -360,6 +390,63 @@ impl<'a> WarpExec<'a> {
         }
     }
 
+    /// Read `op` for every lane, deciding once per operand kind: a register
+    /// is a slice copy, an immediate a splat, a predicate a bit expansion, a
+    /// special register a per-lane formula. The R2D2 classes read only the
+    /// lanes in `mask` (their storage is shaped by the block, so an inactive
+    /// lane may have no slot), leaving the rest of `out` as it was.
+    fn read_lanes(&self, w: &WarpState, op: Operand, mask: u32, dst_is_br: bool, out: &mut Lanes) {
+        match op {
+            Operand::Reg(r) => {
+                out.copy_from_slice(&w.regs[r.0 as usize * WARP_SIZE..][..WARP_SIZE]);
+            }
+            Operand::Imm(v) => *out = [v as u64; WARP_SIZE],
+            Operand::Pred(p) => {
+                let bits = w.preds[p.0 as usize];
+                for (lane, o) in out.iter_mut().enumerate() {
+                    *o = u64::from(bits >> lane & 1);
+                }
+            }
+            Operand::Special(s) => {
+                for (lane, o) in out.iter_mut().enumerate() {
+                    *o = self.special(w, lane, s);
+                }
+            }
+            Operand::Tr(_) | Operand::Br(_) | Operand::Cr(_) | Operand::Lr(_) => {
+                for lane in lanes_of(mask) {
+                    out[lane] = self.read_operand(w, lane, op, dst_is_br);
+                }
+            }
+        }
+    }
+
+    /// Write `v` to `dst` on the lanes in `mask`: a full-mask register write
+    /// is one slice copy, a predicate one masked bit merge.
+    fn write_lanes(&mut self, w: &mut WarpState, dst: Dst, mask: u32, v: &Lanes) {
+        match dst {
+            Dst::Reg(r) => {
+                let row = &mut w.regs[r.0 as usize * WARP_SIZE..][..WARP_SIZE];
+                if mask == u32::MAX {
+                    row.copy_from_slice(v);
+                } else {
+                    for lane in lanes_of(mask) {
+                        row[lane] = v[lane];
+                    }
+                }
+            }
+            Dst::Pred(p) => {
+                let bits = (0..WARP_SIZE).fold(0u32, |b, l| b | u32::from(v[l] != 0) << l);
+                let cur = &mut w.preds[p.0 as usize];
+                *cur = (*cur & !mask) | (bits & mask);
+            }
+            Dst::Cr(_) | Dst::Tr(_) | Dst::Br(_) => {
+                for lane in lanes_of(mask) {
+                    self.write_dst(w, lane, dst, v[lane]);
+                }
+            }
+        }
+    }
+
     fn write_dst(&mut self, w: &mut WarpState, lane: usize, dst: Dst, v: u64) {
         match dst {
             Dst::Reg(r) => w.set_reg(r.0, lane, v),
@@ -397,7 +484,6 @@ impl<'a> WarpExec<'a> {
     ///
     /// [`ExecError::Watchdog`] when the warp exceeds the dynamic-instruction
     /// limit (a runaway loop).
-    #[allow(clippy::needless_range_loop)] // lane loops index several arrays
     pub fn step(&mut self, w: &mut WarpState) -> Result<StepInfo, ExecError> {
         let Some((pc, active)) = w.sync_top() else {
             return Ok(StepInfo {
@@ -507,146 +593,175 @@ impl<'a> WarpExec<'a> {
             _ => {}
         }
 
-        // Data-path instruction.
-        if let Some(vs) = self.scratch.as_deref_mut() {
+        // Data-path instruction. Detach the scratch buffer so captures don't
+        // conflict with `&mut self` operand accesses.
+        let mut vals = self.scratch.take();
+        if let Some(vs) = vals.as_deref_mut() {
             vs.nsrc = instr.srcs.len().min(3);
             vs.has_dst = instr.dst.is_some();
         }
-
-        let dst_is_br = matches!(instr.dst, Some(Dst::Br(_)));
-        let ty = instr.ty;
-        // Detach the scratch buffer so per-lane writes don't conflict with
-        // `&self`/`&mut self` operand accesses below.
-        let mut vals = self.scratch.take();
-
-        if instr.op.is_mem() {
-            let mem = instr.mem.expect("memory instruction without memref");
-            let mut mi = MemInfo {
-                space: match instr.op {
-                    Op::Ld(s) | Op::St(s) => s,
-                    Op::Atom(_) => MemSpace::Global,
-                    _ => unreachable!(),
-                },
-                write: !matches!(instr.op, Op::Ld(_)),
-                atomic: matches!(instr.op, Op::Atom(_)),
-                ty,
-                mask: exec_mask,
-                addrs: [0; WARP_SIZE],
+        let space = match instr.op {
+            Op::Ld(s) | Op::St(s) => Some(s),
+            Op::Atom(_) => Some(MemSpace::Global),
+            _ => None,
+        };
+        let mut mem = space.map(|space| MemInfo {
+            space,
+            write: !matches!(instr.op, Op::Ld(_)),
+            atomic: matches!(instr.op, Op::Atom(_)),
+            ty: instr.ty,
+            mask: exec_mask,
+            addrs: [0; WARP_SIZE],
+        });
+        // A linear-class destination lives in SM storage that a later lane
+        // of the same instruction may read back (`%cr`, or `%br` via `%lr`),
+        // so those instructions run one lane at a time, in lane order.
+        let linear_dst = matches!(instr.dst, Some(Dst::Cr(_) | Dst::Tr(_) | Dst::Br(_)));
+        let mut rest = exec_mask;
+        while rest != 0 {
+            let mask = if linear_dst {
+                rest & rest.wrapping_neg()
+            } else {
+                rest
             };
-            let mut atom_capture: Option<Box<AtomVals>> = None;
-            for lane in 0..WARP_SIZE {
-                if exec_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let base = self.read_operand(w, lane, mem.base, false);
-                let off = match mem.offset {
-                    MemOffset::Imm(v) => v as u64,
-                    MemOffset::Cr(k) => self.read_operand(w, lane, Operand::Cr(k), false),
-                    MemOffset::CrImm(k, v) => self
-                        .read_operand(w, lane, Operand::Cr(k), false)
-                        .wrapping_add(v as u64),
-                };
-                let addr = base.wrapping_add(off);
-                mi.addrs[lane] = addr;
-                match instr.op {
-                    Op::Ld(space) => {
-                        let v = match space {
-                            MemSpace::Global => self.gmem.read(ty, addr),
-                            MemSpace::Shared => shared_read(self.smem, ty, addr),
-                        };
-                        if let Some(vs) = vals.as_deref_mut() {
-                            vs.dst[lane] = v;
-                        }
-                        self.write_dst(w, lane, instr.dst.unwrap(), v);
-                    }
-                    Op::St(space) => {
-                        let v = self.read_operand(w, lane, instr.srcs[0], false);
-                        if let Some(vs) = vals.as_deref_mut() {
-                            vs.srcs[0][lane] = v;
-                        }
-                        match space {
-                            MemSpace::Global => self.gmem.write(ty, addr, v),
-                            MemSpace::Shared => shared_write(self.smem, ty, addr, v),
-                        }
-                    }
-                    Op::Atom(aop) => {
-                        let x = self.read_operand(w, lane, instr.srcs[0], false);
-                        if self.defer_global_atomics {
-                            let desired = if matches!(aop, AtomOp::Cas) {
-                                self.read_operand(w, lane, instr.srcs[1], false)
-                            } else {
-                                0
-                            };
-                            let cap = atom_capture.get_or_insert_with(Box::default);
-                            cap.x[lane] = x;
-                            cap.desired[lane] = desired;
-                            if let Some(vs) = vals.as_deref_mut() {
-                                vs.srcs[0][lane] = x;
-                            }
-                        } else {
-                            let desired = if matches!(aop, AtomOp::Cas) {
-                                self.read_operand(w, lane, instr.srcs[1], false)
-                            } else {
-                                0
-                            };
-                            let old = atomic_rmw(self.gmem, aop, ty, addr, x, desired);
-                            if let Some(d) = instr.dst {
-                                self.write_dst(w, lane, d, old);
-                            }
-                            if let Some(vs) = vals.as_deref_mut() {
-                                vs.srcs[0][lane] = x;
-                                vs.dst[lane] = old;
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            info.mem = Some(mi);
-            info.atom = atom_capture;
-        } else {
-            // Pure ALU / mov / cvt / setp / selp / ld.param.
-            for lane in 0..WARP_SIZE {
-                if exec_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let mut s = [0u64; 3];
-                for (i, src) in instr.srcs.iter().enumerate().take(3) {
-                    s[i] = self.read_operand(w, lane, *src, dst_is_br);
-                }
-                if let Some(vs) = vals.as_deref_mut() {
-                    for i in 0..instr.srcs.len().min(3) {
-                        vs.srcs[i][lane] = s[i];
-                    }
-                }
-                let v = match instr.op {
-                    Op::LdParam => {
-                        let n = s[0] as usize;
-                        self.params.get(n).copied().unwrap_or(0)
-                    }
-                    Op::Setp(c) => compare(c, ty, s[0], s[1]) as u64,
-                    Op::Selp => {
-                        if s[2] != 0 {
-                            s[0]
-                        } else {
-                            s[1]
-                        }
-                    }
-                    op => alu(op, ty, s[0], s[1], s[2]),
-                };
-                if let Some(vs) = vals.as_deref_mut() {
-                    vs.dst[lane] = v;
-                }
-                if let Some(d) = instr.dst {
-                    self.write_dst(w, lane, d, v);
-                }
-            }
+            self.exec_lanes(w, instr, mask, mem.as_mut(), &mut info, vals.as_deref_mut());
+            rest &= !mask;
         }
+        info.mem = mem;
 
         w.stack.last_mut().unwrap().pc = pc + 1;
         self.scratch = vals;
         Ok(info)
     }
+
+    /// Execute a data-path instruction on the lanes in `mask` (non-empty) as
+    /// lane vectors: each source is read once per operand kind, `(op, ty)` is
+    /// matched once outside the lane loop, and the destination is written
+    /// once. Memory instructions compute their addresses the same way and
+    /// then touch memory lane by lane, recording addresses in `mem`.
+    /// Operand values are captured into `vals` for the lanes in `mask` only.
+    fn exec_lanes(
+        &mut self,
+        w: &mut WarpState,
+        instr: &Instr,
+        mask: u32,
+        mem: Option<&mut MemInfo>,
+        info: &mut StepInfo,
+        vals: Option<&mut OperandVals>,
+    ) {
+        let ty = instr.ty;
+        // How many sources the op reads; a store or atomic reads `srcs[0]`,
+        // plus `srcs[1]` for a compare-and-swap.
+        let nread = match instr.op {
+            Op::Ld(_) => 0,
+            Op::St(_) | Op::Atom(_) => 1 + usize::from(instr.op == Op::Atom(AtomOp::Cas)),
+            _ => instr.srcs.len().min(3),
+        };
+        // Lane i of a `.br` ALU instruction reads %cr(k+i) (Sec. 3.2.3).
+        let dst_is_br = mem.is_none() && matches!(instr.dst, Some(Dst::Br(_)));
+        let mut s = [[0u64; WARP_SIZE]; 3];
+        for (src, out) in instr.srcs[..nread].iter().zip(&mut s) {
+            self.read_lanes(w, *src, mask, dst_is_br, out);
+        }
+        let mut out = [0u64; WARP_SIZE];
+        let (ncap, produces) = match mem {
+            None => {
+                eval_lanes(instr.op, ty, self.params, &s, &mut out);
+                (instr.srcs.len().min(3), true)
+            }
+            Some(mi) => {
+                let mref = instr.mem.expect("memory instruction without memref");
+                let mut base = [0u64; WARP_SIZE];
+                self.read_lanes(w, mref.base, mask, false, &mut base);
+                let cr = |k| self.read_operand(w, 0, Operand::Cr(k), false);
+                let off = match mref.offset {
+                    MemOffset::Imm(v) => v as u64,
+                    MemOffset::Cr(k) => cr(k),
+                    MemOffset::CrImm(k, v) => cr(k).wrapping_add(v as u64),
+                };
+                for lane in lanes_of(mask) {
+                    let (addr, x) = (base[lane].wrapping_add(off), s[0][lane]);
+                    mi.addrs[lane] = addr;
+                    out[lane] = match instr.op {
+                        Op::Ld(MemSpace::Global) => self.gmem.read(ty, addr),
+                        Op::Ld(MemSpace::Shared) => shared_read(self.smem, ty, addr),
+                        Op::St(MemSpace::Global) => {
+                            self.gmem.write(ty, addr, x);
+                            0
+                        }
+                        Op::St(MemSpace::Shared) => {
+                            shared_write(self.smem, ty, addr, x);
+                            0
+                        }
+                        Op::Atom(_) if self.defer_global_atomics => {
+                            let cap = info.atom.get_or_insert_with(Box::default);
+                            cap.x[lane] = x;
+                            cap.desired[lane] = s[1][lane];
+                            0
+                        }
+                        Op::Atom(aop) => atomic_rmw(self.gmem, aop, ty, addr, x, s[1][lane]),
+                        _ => unreachable!(),
+                    };
+                }
+                let produces = match instr.op {
+                    Op::Ld(_) => true,
+                    Op::Atom(_) => !self.defer_global_atomics,
+                    _ => false,
+                };
+                (nread.min(1), produces)
+            }
+        };
+        if let Some(vs) = vals {
+            for lane in lanes_of(mask) {
+                for (cap, src) in vs.srcs.iter_mut().zip(&s).take(ncap) {
+                    cap[lane] = src[lane];
+                }
+                if produces {
+                    vs.dst[lane] = out[lane];
+                }
+            }
+        }
+        if let (true, Some(d)) = (produces, instr.dst) {
+            self.write_lanes(w, d, mask, &out);
+        }
+    }
+}
+
+/// Evaluate an ALU / mov / cvt / setp / selp / ld.param instruction on every
+/// lane. `(op, ty)` is matched once, here: each arm is a lane loop over
+/// [`alu`] or [`compare`] with constant arguments, which inlining
+/// specialises. Lanes outside the exec mask compute garbage that the caller
+/// never writes back; no arm can panic on a value.
+fn eval_lanes(op: Op, ty: Ty, params: &[u64], s: &[Lanes; 3], out: &mut Lanes) {
+    #[inline(always)]
+    fn each(out: &mut Lanes, s: &[Lanes; 3], f: impl Fn(u64, u64, u64) -> u64) {
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = f(s[0][l], s[1][l], s[2][l]);
+        }
+    }
+    macro_rules! typed {
+        ($f:expr) => {
+            match ty {
+                Ty::B32 => each(out, s, |a, b, c| $f(Ty::B32, a, b, c)),
+                Ty::B64 => each(out, s, |a, b, c| $f(Ty::B64, a, b, c)),
+                Ty::F32 => each(out, s, |a, b, c| $f(Ty::F32, a, b, c)),
+                Ty::F64 => each(out, s, |a, b, c| $f(Ty::F64, a, b, c)),
+                Ty::Pred => each(out, s, |a, b, c| $f(Ty::Pred, a, b, c)),
+            }
+        };
+    }
+    macro_rules! ops {
+        ($($o:ident)*) => {
+            match op {
+                $(Op::$o => typed!(|t, a, b, c| alu(Op::$o, t, a, b, c)),)*
+                Op::Setp(cmp) => typed!(|t, a, b, _| u64::from(compare(cmp, t, a, b))),
+                Op::Selp => each(out, s, |a, b, c| if c != 0 { a } else { b }),
+                Op::LdParam => each(out, s, |a, _, _| params.get(a as usize).copied().unwrap_or(0)),
+                op => typed!(|t, a, b, c| alu(op, t, a, b, c)),
+            }
+        };
+    }
+    ops!(Mov Cvt Add Sub Mul Mad Shl Shr And Or Xor Not Min Max Div Rem Abs Neg)
 }
 
 fn shared_read(smem: &[u8], ty: Ty, addr: u64) -> u64 {
@@ -920,7 +1035,7 @@ fn cmp_ord(c: CmpOp, o: std::cmp::Ordering) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r2d2_isa::{Cfg, KernelBuilder, Operand};
+    use r2d2_isa::{Cfg, KernelBuilder, Operand, PredReg, Reg};
 
     #[allow(clippy::too_many_arguments)]
     fn run_to_completion(
@@ -1241,6 +1356,257 @@ mod tests {
         assert_eq!(scratch.srcs[0][0], 5);
         assert_eq!(scratch.srcs[1][7], 3);
         assert_eq!(scratch.dst[31], 8);
+    }
+
+    // --- lane-vector data path ---------------------------------------------
+
+    /// Execute `instr` once on `w`, as pc 0 of a one-instruction kernel.
+    fn step_one(
+        instr: Instr,
+        w: &mut WarpState,
+        ntid: [u32; 3],
+        linear: Option<(&LinearMeta, &mut LinearStore, usize)>,
+        scratch: Option<&mut OperandVals>,
+    ) -> StepInfo {
+        let mut k = Kernel::new("one", 0);
+        k.instrs.push(instr);
+        let cfg = Cfg::build(&k);
+        w.stack.last_mut().unwrap().pc = 0;
+        let mut gmem = GlobalMem::new();
+        let mut smem = vec![];
+        let mut ex = WarpExec {
+            kernel: &k,
+            cfg: &cfg,
+            params: &[],
+            ntid,
+            nctaid: [1, 1, 1],
+            smid: 0,
+            gmem: &mut gmem,
+            smem: &mut smem,
+            linear,
+            scratch,
+            watchdog: 100,
+            defer_global_atomics: false,
+        };
+        ex.step(w).unwrap()
+    }
+
+    /// A full 32-lane warp with `r0 = lane`, `r1 = 100 + lane` and the given
+    /// predicate words.
+    fn lane_warp(preds: &[u32]) -> WarpState {
+        let mut w = WarpState::new(4, preds.len(), 0, [0; 3], 0, 32, 0);
+        for lane in 0..WARP_SIZE {
+            w.set_reg(0, lane, lane as u64);
+            w.set_reg(1, lane, 100 + lane as u64);
+        }
+        w.preds.copy_from_slice(preds);
+        w
+    }
+
+    const EVEN: u32 = 0x5555_5555;
+
+    #[test]
+    fn partial_mask_predicate_write_merges_only_active_bits() {
+        let mut w = lane_warp(&[EVEN, 0xF0F0_F0F0]);
+        let setp = Instr::new(
+            Op::Setp(CmpOp::Lt),
+            Ty::B32,
+            Some(Dst::Pred(PredReg(1))),
+            vec![Reg(0).into(), Operand::Imm(16)],
+        )
+        .with_guard(PredReg(0), true);
+        let info = step_one(setp, &mut w, [32, 1, 1], None, None);
+        assert_eq!(info.exec_mask, EVEN);
+        let want = (0xF0F0_F0F0 & !EVEN) | (0x0000_FFFF & EVEN);
+        assert_eq!(w.preds[1], want, "{:#x} vs {want:#x}", w.preds[1]);
+    }
+
+    #[test]
+    fn empty_exec_mask_leaves_everything_untouched() {
+        let w = lane_warp(&[0]);
+        let mut vals = OperandVals {
+            srcs: [[7; WARP_SIZE]; 3],
+            dst: [9; WARP_SIZE],
+            ..OperandVals::default()
+        };
+        for instr in [
+            Instr::new(
+                Op::Add,
+                Ty::B32,
+                Some(Dst::Reg(Reg(2))),
+                vec![Reg(0).into(), Reg(1).into()],
+            ),
+            Instr::new(
+                Op::Setp(CmpOp::Eq),
+                Ty::B32,
+                Some(Dst::Pred(PredReg(0))),
+                vec![Reg(0).into(), Operand::Imm(0)],
+            ),
+        ] {
+            let mut w2 = w.clone();
+            let info = step_one(
+                instr.with_guard(PredReg(0), true),
+                &mut w2,
+                [32, 1, 1],
+                None,
+                Some(&mut vals),
+            );
+            assert_eq!(info.exec_mask, 0);
+            assert_eq!((&w2.regs, &w2.preds), (&w.regs, &w.preds));
+        }
+        assert_eq!(vals.srcs, [[7; WARP_SIZE]; 3]);
+        assert_eq!(vals.dst, [9; WARP_SIZE]);
+    }
+
+    #[test]
+    fn destination_aliasing_a_source_reads_the_old_value() {
+        let mut w = lane_warp(&[EVEN]);
+        // r0 = r0 * r0 + r0 on the odd lanes only.
+        let mad = Instr::new(
+            Op::Mad,
+            Ty::B64,
+            Some(Dst::Reg(Reg(0))),
+            vec![Reg(0).into(), Reg(0).into(), Reg(0).into()],
+        )
+        .with_guard(PredReg(0), false);
+        step_one(mad, &mut w, [32, 1, 1], None, None);
+        for lane in 0..WARP_SIZE as u64 {
+            let want = if lane % 2 == 1 {
+                lane * lane + lane
+            } else {
+                lane
+            };
+            assert_eq!(w.reg(0, lane as usize), want, "lane {lane}");
+        }
+        // The guard predicate is also the destination: each active lane
+        // writes its own bit from the value read before the instruction.
+        let setp = Instr::new(
+            Op::Setp(CmpOp::Ge),
+            Ty::B32,
+            Some(Dst::Pred(PredReg(0))),
+            vec![Reg(1).into(), Operand::Imm(116)],
+        )
+        .with_guard(PredReg(0), true);
+        step_one(setp, &mut w, [32, 1, 1], None, None);
+        assert_eq!(w.preds[0], EVEN & 0xFFFF_0000);
+    }
+
+    #[test]
+    fn operand_capture_writes_only_active_lanes() {
+        let mut w = lane_warp(&[EVEN]);
+        let mut vals = OperandVals {
+            srcs: [[7; WARP_SIZE]; 3],
+            dst: [9; WARP_SIZE],
+            ..OperandVals::default()
+        };
+        let add = Instr::new(
+            Op::Add,
+            Ty::B32,
+            Some(Dst::Reg(Reg(2))),
+            vec![Reg(0).into(), Operand::Imm(5)],
+        )
+        .with_guard(PredReg(0), true);
+        step_one(add, &mut w, [32, 1, 1], None, Some(&mut vals));
+        assert_eq!((vals.nsrc, vals.has_dst), (2, true));
+        for lane in 0..WARP_SIZE {
+            let got = (vals.srcs[0][lane], vals.srcs[1][lane], vals.dst[lane]);
+            let want = if EVEN & (1 << lane) != 0 {
+                (lane as u64, 5, lane as u64 + 5)
+            } else {
+                (7, 7, 9)
+            };
+            assert_eq!(got, want, "lane {lane}");
+            assert_eq!(vals.srcs[2][lane], 7, "unread source slot stays put");
+        }
+    }
+
+    /// Metadata whose whole instruction stream is one phase: `pc 0` falls in
+    /// the block-index block when `bidx`, otherwise in the main stream.
+    fn one_phase_meta(bidx: bool, n_cr: usize, n_tr: usize, n_lr: usize) -> LinearMeta {
+        LinearMeta {
+            coef_start: 0,
+            tidx_start: 0,
+            bidx_start: 0,
+            main_start: usize::from(bidx),
+            n_cr,
+            n_tr,
+            n_lr,
+            lr_tr: [None; crate::linear::MAX_LR],
+        }
+    }
+
+    #[test]
+    fn br_destination_reads_cr_k_plus_lane() {
+        let meta = one_phase_meta(true, 8, 0, 4);
+        let mut store = LinearStore::new(&meta, 32, 2);
+        for k in 0..8 {
+            store.cr[k] = 100 + k as u64;
+        }
+        let mut w = lane_warp(&[0]);
+        let mov = Instr::new(Op::Mov, Ty::B64, Some(Dst::Br(0)), vec![Operand::Cr(2)]);
+        let info = step_one(mov, &mut w, [32, 1, 1], Some((&meta, &mut store, 1)), None);
+        assert_eq!(
+            info.exec_mask, 0b1111,
+            "n_lr lanes run the block-index block"
+        );
+        assert_eq!(store.br[1], vec![102, 103, 104, 105]);
+        assert_eq!(store.br[0], vec![0; 4], "other block slots untouched");
+    }
+
+    #[test]
+    fn linear_destination_runs_lane_by_lane() {
+        // Every active lane of `add %cr0, %cr0, 1` reads the value the
+        // previous lane wrote, so four block-index lanes add four.
+        let meta = one_phase_meta(true, 1, 0, 4);
+        let mut store = LinearStore::new(&meta, 32, 1);
+        store.cr[0] = 10;
+        let mut w = lane_warp(&[0]);
+        let add = Instr::new(
+            Op::Add,
+            Ty::B64,
+            Some(Dst::Cr(0)),
+            vec![Operand::Cr(0), Operand::Imm(1)],
+        );
+        step_one(add, &mut w, [32, 1, 1], Some((&meta, &mut store, 0)), None);
+        assert_eq!(store.cr[0], 14);
+    }
+
+    #[test]
+    fn partial_last_warp_reads_tid_and_only_active_linear_lanes() {
+        // A 40-thread block: warp 1 has lanes 0..8 (tid.x 32..39). `%tr0`
+        // has exactly 40 thread slots, so reading it on an inactive lane
+        // (slot >= 40) would index past the store.
+        let meta = one_phase_meta(false, 0, 1, 0);
+        let mut store = LinearStore::new(&meta, 40, 1);
+        for slot in 0..40 {
+            store.tr_write(0, slot, 1000 + slot as u64);
+        }
+        let mut w = WarpState::new(2, 1, 0, [0; 3], 1, 40, 0);
+        assert_eq!(w.init_mask, 0xFF);
+        let tid = Instr::new(
+            Op::Mov,
+            Ty::B32,
+            Some(Dst::Reg(Reg(0))),
+            vec![Operand::Special(Special::Tid(0))],
+        );
+        let lin = Some((&meta, &mut store, 0));
+        step_one(tid, &mut w, [40, 1, 1], lin, None);
+        let add = Instr::new(
+            Op::Add,
+            Ty::B64,
+            Some(Dst::Reg(Reg(1))),
+            vec![Operand::Tr(0), Reg(0).into()],
+        );
+        step_one(add, &mut w, [40, 1, 1], Some((&meta, &mut store, 0)), None);
+        for lane in 0..WARP_SIZE {
+            let (t, sum) = if lane < 8 {
+                let t = 32 + lane as u64;
+                (t, 1000 + t + t)
+            } else {
+                (0, 0)
+            };
+            assert_eq!((w.reg(0, lane), w.reg(1, lane)), (t, sum), "lane {lane}");
+        }
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod timing;
 pub use cache::Cache;
 pub use config::{CacheConfig, GpuConfig, Latencies, LoopKind, R2d2Latencies};
 pub use exec::{
-    ExecError, MemInfo, OperandVals, Outcome, StackEntry, StepInfo, WarpExec, WarpState, NO_RPC,
-    WARP_SIZE,
+    ExecError, LineSet, MemInfo, OperandVals, Outcome, StackEntry, StepInfo, WarpExec, WarpState,
+    NO_RPC, WARP_SIZE,
 };
 pub use filter::{BaselineFilter, Disposition, IssueCtx, IssueFilter, NoFilter};
 pub use functional::{FuncStats, InstrEvent, Observer};

@@ -581,14 +581,14 @@ fn mem_latency<S: EventSink, M: MemBackend>(
                 if mi.atomic || mi.write {
                     // Atomics and stores never touch the L1.
                     return MemRes::Defer {
-                        lines,
+                        lines: lines.to_vec(),
                         eager_worst: 0,
                         extra_n: n.saturating_sub(1),
                     };
                 }
                 let mut l2_lines = Vec::new();
                 let mut eager_worst = 0u64;
-                for line in lines {
+                for &line in lines.iter() {
                     stats.events.l1_accesses += 1;
                     if l1.access(line) {
                         stats.l1_hits += 1;
@@ -616,7 +616,7 @@ fn mem_latency<S: EventSink, M: MemBackend>(
             }
             let mut worst = 0u64;
             let mut dram_served = false;
-            for line in lines {
+            for &line in lines.iter() {
                 let (lat, served) = if mi.atomic {
                     mem.side()
                         .l2_line(cfg, now, line, L2Kind::Atomic, stats, sink)
@@ -746,74 +746,15 @@ impl LinearReadiness<'_> {
             _ => 0,
         }
     }
-
-    fn operand_ready(&self, o: &Operand, now: u64) -> bool {
-        self.operand_time(o) <= now
-    }
 }
 
-fn deps_ready(tw: &TWarp, instr: &Instr, now: u64, lin: Option<&LinearReadiness<'_>>) -> bool {
-    if let Some((p, _)) = instr.guard {
-        if tw.pred_ready[p.0 as usize] > now {
-            return false;
-        }
-    }
-    for s in &instr.srcs {
-        match s {
-            Operand::Reg(r) if tw.reg_ready[r.0 as usize] > now => {
-                return false;
-            }
-            Operand::Pred(p) if tw.pred_ready[p.0 as usize] > now => {
-                return false;
-            }
-            o if o.is_r2d2_class() => {
-                if let Some(l) = lin {
-                    if !l.operand_ready(o, now) {
-                        return false;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(m) = instr.mem {
-        match m.base {
-            Operand::Reg(r) if tw.reg_ready[r.0 as usize] > now => {
-                return false;
-            }
-            o if o.is_r2d2_class() => {
-                if let Some(l) = lin {
-                    if !l.operand_ready(&o, now) {
-                        return false;
-                    }
-                }
-            }
-            _ => {}
-        }
-        if let MemOffset::Cr(k) | MemOffset::CrImm(k, _) = m.offset {
-            if let Some(l) = lin {
-                if !l.operand_ready(&Operand::Cr(k), now) {
-                    return false;
-                }
-            }
-        }
-    }
-    match instr.dst {
-        Some(Dst::Reg(r)) => tw.reg_ready[r.0 as usize] <= now,
-        Some(Dst::Pred(p)) => tw.pred_ready[p.0 as usize] <= now,
-        Some(Dst::Cr(k)) => lin.is_none_or(|l| l.cr.get(k as usize).copied().unwrap_or(0) <= now),
-        Some(Dst::Tr(k)) => lin.is_none_or(|l| l.tr.get(k as usize).copied().unwrap_or(0) <= now),
-        Some(Dst::Br(_)) => lin.is_none_or(|l| l.br_slot <= now),
-        None => true,
-    }
-}
-
-/// Earliest cycle at which [`deps_ready`] could turn true: the max readiness
-/// time over every scoreboard entry the instruction waits on. Only meaningful
-/// when `deps_ready` is currently false; the event-driven loop folds this
-/// into its wakeup minimum. `deps_ready(tw, instr, t, lin)` holds exactly for
-/// all `t >= deps_wake(tw, instr, lin)` (scoreboard entries only move forward
-/// when an instruction issues, which counts as progress).
+/// Earliest cycle at which the warp's next instruction can issue: the max
+/// readiness time over every scoreboard entry it waits on (guard, sources,
+/// memory base and offset, destination). The instruction is ready at `now`
+/// exactly when this is `<= now`, and it stays blocked until then —
+/// scoreboard entries only move forward when an instruction issues, which
+/// counts as progress — so the event-driven loop folds a blocked warp's
+/// value into its wakeup minimum.
 fn deps_wake(tw: &TWarp, instr: &Instr, lin: Option<&LinearReadiness<'_>>) -> u64 {
     let mut t = 0u64;
     if let Some((p, _)) = instr.guard {
@@ -870,8 +811,8 @@ fn deps_wake(tw: &TWarp, instr: &Instr, lin: Option<&LinearReadiness<'_>>) -> u6
     t
 }
 
-/// Which stall category to charge when [`deps_ready`] is false: the category
-/// of the operand with the greatest readiness time — the entry [`deps_wake`]
+/// Which stall category to charge when [`deps_wake`] is in the future: the
+/// category of the operand with the greatest readiness time — the entry it
 /// waits for, with ties broken by walk order (first maximal entry wins, so
 /// the answer is deterministic and identical across both loop kinds). R2D2
 /// register classes charge the operand collector; GP registers charge the
@@ -1077,7 +1018,8 @@ impl<'a, S: EventSink> Machine<'a, S> {
     }
 }
 
-/// Wakeup accounting accumulated over one full pass of the event-driven loop.
+/// Wakeup accounting of one SM pass of the event-driven loop (the sharded
+/// loop folds its SMs' passes into one per shard).
 struct EvAcc {
     /// Earliest future cycle at which any blocked dependency clears
     /// (`u64::MAX` = no finite wakeup exists).
@@ -1393,8 +1335,8 @@ fn attempt_issue<S: EventSink, M: MemBackend>(
                 br_slot: sm.br_ready[tw.slot],
                 lr_tr: &m.lr_tr,
             });
-            if !deps_ready(tw, instr, now, lr.as_ref()) {
-                let wake = deps_wake(tw, instr, lr.as_ref()).max(now + 1);
+            let wake = deps_wake(tw, instr, lr.as_ref());
+            if wake > now {
                 ev.wake = ev.wake.min(wake);
                 if S::ENABLED {
                     // A provisional cause is recorded either way; when a
@@ -1630,7 +1572,7 @@ fn attempt_issue<S: EventSink, M: MemBackend>(
                     // epoch drain resolves the exact latency in sequential
                     // shared-memory order. The scoreboard blocks a second
                     // write to the same destination while the first is in
-                    // flight (`deps_ready` checks `dst`), so at most one
+                    // flight (`deps_wake` covers `dst`), so at most one
                     // event targets a given cell and `prev_tr` is exact.
                     let mut prev_tr = 0;
                     match instr.dst {
@@ -1824,31 +1766,22 @@ fn sm_pass_lockstep<S: EventSink, M: MemBackend>(
 }
 
 /// One cycle of one SM under the event-driven loop: walk the persistent
-/// per-scheduler orderings (no allocation, no sort) and fold blocked-warp
-/// wakeups into `ev`. Presents candidates in exactly the order the lockstep
-/// pass would: for RR, ring positions `ptr..=maxpos` then `0..ptr` (the sort
-/// key `(pos + len - ptr) % len` ranks all `pos >= ptr` ascending before all
-/// `pos < ptr` ascending); for GTO, `gto_last` first (when a candidate) then
-/// the seq-ordered lane list.
+/// per-scheduler orderings (no allocation, no sort) and return whether the
+/// SM progressed plus its earliest blocked-warp wakeup. Presents candidates
+/// in exactly the order the lockstep pass would: for RR, ring positions
+/// `ptr..=maxpos` then `0..ptr` (the sort key `(pos + len - ptr) % len`
+/// ranks all `pos >= ptr` ascending before all `pos < ptr` ascending); for
+/// GTO, `gto_last` first (when a candidate) then the seq-ordered lane list.
 fn sm_pass_event<S: EventSink, M: MemBackend>(
     ctx: &LaunchCtx<'_>,
     sm: &mut Sm,
     sh: &mut Shared<'_, S, M>,
     sm_gi: u32,
     now: u64,
-    ev: &mut EvAcc,
-) -> Result<(), SimError> {
+) -> Result<EvAcc, SimError> {
     let linear_mode = ctx.meta.is_some() && (!sm.coef_done || !sm.tidx_done);
     let mut issued_this_cycle = 0u32;
-    // `ev.progress` accumulates across SMs; to attribute this SM's cycle we
-    // observe the pass in isolation and fold the prior value back afterwards.
-    let progress_before = if S::ENABLED {
-        let p = ev.progress;
-        ev.progress = false;
-        p
-    } else {
-        false
-    };
+    let mut ev = EvAcc::new();
     'sched: for sched in 0..ctx.nsched {
         if issued_this_cycle >= ctx.cfg.sm_issue_width {
             break;
@@ -1879,7 +1812,7 @@ fn sm_pass_event<S: EventSink, M: MemBackend>(
                     now,
                     linear_mode,
                     &mut issued_this_cycle,
-                    ev,
+                    &mut ev,
                 )?;
                 if let Attempt::Used = a {
                     continue 'sched;
@@ -1898,7 +1831,7 @@ fn sm_pass_event<S: EventSink, M: MemBackend>(
                     now,
                     linear_mode,
                     &mut issued_this_cycle,
-                    ev,
+                    &mut ev,
                 )?;
                 if let Attempt::Used = a {
                     continue 'sched;
@@ -1923,7 +1856,7 @@ fn sm_pass_event<S: EventSink, M: MemBackend>(
                     now,
                     linear_mode,
                     &mut issued_this_cycle,
-                    ev,
+                    &mut ev,
                 )?;
                 if let Attempt::Used = a {
                     continue 'sched;
@@ -1939,9 +1872,8 @@ fn sm_pass_event<S: EventSink, M: MemBackend>(
             .flatten()
             .any(|t| t.w.at_barrier && !t.w.done);
         sh.sink.sm_cycle_end(sm_gi, ev.progress, any_barrier);
-        ev.progress |= progress_before;
     }
-    Ok(())
+    Ok(ev)
 }
 
 /// The reference main loop: advance one cycle at a time.
@@ -1975,18 +1907,26 @@ fn run_lockstep<S: EventSink>(
 }
 
 /// The event-driven main loop. Identical per-cycle semantics to
-/// [`run_lockstep`], plus: when a full pass over every SM makes no progress
-/// (nothing executed, no gate boundary crossed), no SM state can change
-/// before the earliest scoreboard wakeup — every blocked warp is blocked
-/// either on a scoreboard time (collected into `ev.wake`) or on an event
-/// that only progress can trigger (gate entry, barrier release). So `now`
-/// jumps directly to the minimum of `ev.wake` and the first cycle at which
-/// the watchdog or deadlock check would fire; the loop head then performs
-/// exactly the checks the lockstep loop would have performed there. With no
-/// finite wakeup, the jump lands on the error cycle and the run terminates
-/// with the identical `SimError`.
+/// [`run_lockstep`], plus two exact skips:
+///
+/// * Per SM: a pass that makes no progress (nothing executed, no gate
+///   boundary crossed) leaves every warp blocked either on a scoreboard
+///   time (its `EvAcc::wake`) or on an event only that SM's own progress
+///   can trigger (gate entry, barrier release). No other SM can wake it —
+///   block refill is static per SM, gates, barriers and the linear
+///   scoreboards are SM-local, and the shared L2/DRAM and filter state only
+///   matter once an instruction issues — so the SM is not passed again
+///   before `sm_wake[sm]`; a profiling sink repeats its last attribution.
+/// * Machine-wide: when no SM progressed, `now` jumps to the minimum of the
+///   stored wakeups and the first cycle at which the watchdog or deadlock
+///   check would fire; the loop head then performs exactly the checks the
+///   lockstep loop would have performed there. With no finite wakeup, the
+///   jump lands on the error cycle and the run terminates with the
+///   identical `SimError`.
 fn run_event<S: EventSink>(ctx: &LaunchCtx<'_>, m: &mut Machine<'_, S>) -> Result<u64, SimError> {
     let mut now = 0u64;
+    // First cycle at which each SM's pass can differ from its last one.
+    let mut sm_wake = vec![0u64; m.sms.len()];
     while m.remaining > 0 {
         now += 1;
         if now > ctx.cfg.watchdog_cycles {
@@ -2003,18 +1943,28 @@ fn run_event<S: EventSink>(ctx: &LaunchCtx<'_>, m: &mut Machine<'_, S>) -> Resul
         if S::ENABLED {
             m.sink.cycle_start(now);
         }
-        let mut ev = EvAcc::new();
-        for sm_i in 0..m.sms.len() {
-            let (sm, mut sh) = m.split(sm_i);
-            sm_pass_event(ctx, sm, &mut sh, sm_i as u32, now, &mut ev)?;
+        let mut progress = false;
+        let mut wake = u64::MAX;
+        for (sm_i, sm_wake) in sm_wake.iter_mut().enumerate() {
+            if *sm_wake > now {
+                if S::ENABLED {
+                    m.sink.sm_cycle_repeat(sm_i as u32);
+                }
+            } else {
+                let (sm, mut sh) = m.split(sm_i);
+                let ev = sm_pass_event(ctx, sm, &mut sh, sm_i as u32, now)?;
+                progress |= ev.progress;
+                *sm_wake = if ev.progress { now + 1 } else { ev.wake };
+            }
+            wake = wake.min(*sm_wake);
         }
-        if !ev.progress && m.remaining > 0 {
+        if !progress && m.remaining > 0 {
             let error_at = ctx
                 .cfg
                 .watchdog_cycles
                 .saturating_add(1)
                 .min(m.last_issue.saturating_add(DEADLOCK_WINDOW + 1));
-            let target = ev.wake.min(error_at);
+            let target = wake.min(error_at);
             debug_assert!(target > now, "wakeup must be in the future");
             if S::ENABLED && target > now + 1 {
                 // Cycles now+1 .. target-1 are pure replays of this cycle's

@@ -178,7 +178,10 @@ fn shard_epoch<S2: ShardSink>(
             let r = if lockstep {
                 sm_pass_lockstep(ctx, &mut sms[i], &mut sh, gi, now)
             } else {
-                sm_pass_event(ctx, &mut sms[i], &mut sh, gi, now, &mut ev)
+                sm_pass_event(ctx, &mut sms[i], &mut sh, gi, now).map(|e| {
+                    ev.wake = ev.wake.min(e.wake);
+                    ev.progress |= e.progress;
+                })
             };
             if let Err(e) = r {
                 st.error = Some((now, gi, e));

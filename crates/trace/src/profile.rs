@@ -12,9 +12,11 @@
 //!
 //! When the event-driven loop fast-forwards `n` idle cycles it reports
 //! [`EventSink::idle_skip`]; the profiler replays each SM's attribution from
-//! the preceding (no-progress) cycle `n` more times. No SM state changes
-//! while nothing issues, so this reproduces exactly what the lockstep loop
-//! would have recorded cycle by cycle.
+//! the preceding (no-progress) cycle `n` more times. When it leaves one
+//! sleeping SM out of a cycle it reports [`EventSink::sm_cycle_repeat`], and
+//! the profiler replays that SM's last attribution once. No SM state changes
+//! while nothing issues on it, so both reproduce exactly what the lockstep
+//! loop would have recorded cycle by cycle.
 //!
 //! Time series use fixed-width cycle buckets that **coalesce**: whenever the
 //! run outgrows `2 * target_buckets`, the bucket width doubles and adjacent
@@ -215,6 +217,30 @@ impl Profiler {
         }
     }
 
+    /// Charge SM `smi`'s last attribution for `n` cycles in the per-SM and
+    /// per-warp tables.
+    fn charge_sm(&mut self, smi: usize, n: u64) {
+        let (warp, cause) = self.last_attr[smi];
+        self.stall_sm[smi][cause.idx()] += n;
+        if warp != NO_WARP {
+            let table = &mut self.stall_warp[smi];
+            let w = warp as usize;
+            if w >= table.len() {
+                table.resize(w + 1, [0; StallCause::COUNT]);
+            }
+            table[w][cause.idx()] += n;
+        }
+    }
+
+    /// Charge SM `smi`'s last attribution for the current cycle, time series
+    /// included.
+    fn charge_cycle(&mut self, smi: usize) {
+        self.charge_sm(smi, 1);
+        let cause = self.last_attr[smi].1;
+        let idx = self.ensure_bucket(self.cur);
+        self.buckets[idx].stalls[cause.idx()] += 1;
+    }
+
     /// Width (in cycles) of each time-series bucket.
     pub fn bucket_width(&self) -> u64 {
         self.width
@@ -356,17 +382,13 @@ impl EventSink for Profiler {
             },
         ));
         self.last_attr[smi] = (warp, cause);
-        self.stall_sm[smi][cause.idx()] += 1;
-        let idx = self.ensure_bucket(self.cur);
-        self.buckets[idx].stalls[cause.idx()] += 1;
-        if warp != NO_WARP {
-            let table = &mut self.stall_warp[smi];
-            let w = warp as usize;
-            if w >= table.len() {
-                table.resize(w + 1, [0; StallCause::COUNT]);
-            }
-            table[w][cause.idx()] += 1;
-        }
+        self.charge_cycle(smi);
+    }
+
+    fn sm_cycle_repeat(&mut self, sm: u32) {
+        let smi = sm as usize;
+        self.grow_sm(smi);
+        self.charge_cycle(smi);
     }
 
     fn idle_skip(&mut self, skipped: u64) {
@@ -377,17 +399,8 @@ impl EventSink for Profiler {
         // cycle for every skipped cycle.
         let mut counts = [0u64; StallCause::COUNT];
         for smi in 0..self.stall_sm.len() {
-            let (warp, cause) = self.last_attr[smi];
-            counts[cause.idx()] += 1;
-            self.stall_sm[smi][cause.idx()] += skipped;
-            if warp != NO_WARP {
-                let table = &mut self.stall_warp[smi];
-                let w = warp as usize;
-                if w >= table.len() {
-                    table.resize(w + 1, [0; StallCause::COUNT]);
-                }
-                table[w][cause.idx()] += skipped;
-            }
+            counts[self.last_attr[smi].1.idx()] += 1;
+            self.charge_sm(smi, skipped);
         }
         self.add_span(self.cur + 1, skipped, &counts);
         self.cur += skipped;
@@ -460,6 +473,28 @@ mod tests {
         assert_eq!(p.stall_totals()[StallCause::Dram.idx()], 10);
         p.check_invariant().unwrap();
         assert_eq!(p.per_warp()[0][1][StallCause::LsuMshr.idx()], 10);
+    }
+
+    #[test]
+    fn sm_cycle_repeat_replays_one_sms_last_attribution() {
+        let mut p = Profiler::new(8);
+        for now in 1..=3 {
+            p.cycle_start(now);
+            p.issue(0, 0);
+            p.sm_cycle_end(0, true, false);
+            if now == 1 {
+                p.stall(1, 2, StallCause::Dram);
+                p.sm_cycle_end(1, false, false);
+            } else {
+                p.sm_cycle_repeat(1);
+            }
+        }
+        p.launch_done(3);
+        p.check_invariant().unwrap();
+        assert_eq!(p.issued_sm_cycles(), 3);
+        assert_eq!(p.per_sm()[1][StallCause::Dram.idx()], 3);
+        assert_eq!(p.per_warp()[1][2][StallCause::Dram.idx()], 3);
+        assert_eq!(p.buckets()[0].stalls[StallCause::Dram.idx()], 3);
     }
 
     #[test]

@@ -77,7 +77,11 @@ pub enum MemLevel {
 /// 2. During the per-SM passes: any number of `issue` / `stall` /
 ///    `mem_access` / `warp_delta` events.
 /// 3. `sm_cycle_end(sm, progressed, any_barrier)` once per SM per cycle,
-///    in ascending SM order.
+///    in ascending SM order. In its place the event-driven loop may call
+///    `sm_cycle_repeat(sm)` for an SM it does not pass this cycle: that SM
+///    made no progress on its last pass and nothing can change it before
+///    its next wakeup, so its attribution from that pass repeats verbatim
+///    for this cycle (it emits no other events in between).
 /// 4. After a cycle where no SM progressed, the event-driven loop may call
 ///    `idle_skip(n)`: the next `n` cycles are not simulated and each SM's
 ///    attribution from the just-ended cycle repeats verbatim (no SM state
@@ -112,6 +116,9 @@ pub trait EventSink {
     fn warp_delta(&mut self, _sm: u32, _delta: i32) {}
     /// SM `sm` finished its pass for the current cycle.
     fn sm_cycle_end(&mut self, _sm: u32, _progressed: bool, _any_barrier: bool) {}
+    /// SM `sm` was not passed this cycle; repeat its last (no-progress)
+    /// `sm_cycle_end` attribution for the cycle.
+    fn sm_cycle_repeat(&mut self, _sm: u32) {}
     /// The event-driven loop skips `skipped` fully idle cycles.
     fn idle_skip(&mut self, _skipped: u64) {}
     /// The launch finished after `cycles` elapsed cycles.
@@ -167,6 +174,7 @@ mod tests {
         s.mem_access(MemLevel::L1, true);
         s.warp_delta(0, 4);
         s.sm_cycle_end(0, true, false);
+        s.sm_cycle_repeat(0);
         s.idle_skip(100);
         s.launch_done(42);
         const { assert!(!NullSink::ENABLED) }

@@ -3,9 +3,11 @@
 //! bit-identical `Stats` (cycles, every counter, every energy event) and
 //! bit-identical global memory to the `LoopKind::Lockstep` reference.
 //!
-//! This is the test that licenses the cycle-skipping and persistent-ordering
-//! optimizations in `r2d2_sim::timing` — see DESIGN.md "Timing-loop
-//! internals".
+//! This is the test that licenses the cycle-skipping, per-SM wakeup and
+//! persistent-ordering optimizations in `r2d2_sim::timing` — see DESIGN.md
+//! "Timing-loop internals". It runs at 4 SMs, where every SM stays busy, and
+//! at the default 80 SMs the figure sweeps use, where most SMs drain or sit
+//! empty and sleep between wakeups.
 
 use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
 use r2d2::prelude::*;
@@ -24,8 +26,15 @@ fn make_filter(model: &str) -> Box<dyn IssueFilter> {
     }
 }
 
-fn run_model(w: &workloads::Workload, kind: LoopKind, model: &str) -> (Stats, Vec<u8>) {
-    let cfg = GpuConfig::default().with_num_sms(4).with_loop_kind(kind);
+fn run_model(
+    w: &workloads::Workload,
+    kind: LoopKind,
+    model: &str,
+    num_sms: u32,
+) -> (Stats, Vec<u8>) {
+    let cfg = GpuConfig::default()
+        .with_num_sms(num_sms)
+        .with_loop_kind(kind);
     let mut filter = make_filter(model);
     let mut g = w.gmem.clone();
     let mut stats = Stats::default();
@@ -56,15 +65,25 @@ fn run_model(w: &workloads::Workload, kind: LoopKind, model: &str) -> (Stats, Ve
     (stats, g.bytes().to_vec())
 }
 
-#[test]
-fn event_driven_loop_is_bit_identical_across_zoo_and_models() {
+fn assert_loops_agree(num_sms: u32) {
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
         for model in MODELS {
-            let (s_ref, m_ref) = run_model(&w, LoopKind::Lockstep, model);
-            let (s_ev, m_ev) = run_model(&w, LoopKind::EventDriven, model);
-            assert_eq!(s_ref, s_ev, "{name}/{model}: Stats diverged across loops");
-            assert_eq!(m_ref, m_ev, "{name}/{model}: memory diverged across loops");
+            let (s_ref, m_ref) = run_model(&w, LoopKind::Lockstep, model, num_sms);
+            let (s_ev, m_ev) = run_model(&w, LoopKind::EventDriven, model, num_sms);
+            let at = format!("{name}/{model}@{num_sms} SMs");
+            assert_eq!(s_ref, s_ev, "{at}: Stats diverged across loops");
+            assert_eq!(m_ref, m_ev, "{at}: memory diverged across loops");
         }
     }
+}
+
+#[test]
+fn event_driven_loop_is_bit_identical_across_zoo_and_models() {
+    assert_loops_agree(4);
+}
+
+#[test]
+fn event_driven_loop_is_bit_identical_at_the_default_sm_count() {
+    assert_loops_agree(GpuConfig::default().num_sms);
 }

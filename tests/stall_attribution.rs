@@ -8,7 +8,10 @@
 //! 2. **Loop independence** — the event-driven loop's attribution (totals,
 //!    per-SM, per-warp) is identical to the lockstep reference's, i.e. the
 //!    idle-skip replay in `Profiler::idle_skip` reconstructs exactly the
-//!    cycles the lockstep loop walks one by one.
+//!    cycles the lockstep loop walks one by one, and the per-SM repeat in
+//!    `Profiler::sm_cycle_repeat` does the same for SMs the event-driven
+//!    loop leaves asleep. Checked at 4 SMs and at the default 80, where
+//!    most SMs drain or sit empty.
 //! 3. **Observer neutrality** — attaching the profiler does not change the
 //!    simulation: `Stats` (minus the profile fields it fills in) and memory
 //!    match an unobserved run.
@@ -30,8 +33,15 @@ fn make_filter(model: &str) -> Box<dyn IssueFilter> {
     }
 }
 
-fn run_profiled(w: &workloads::Workload, kind: LoopKind, model: &str) -> (Stats, Profiler) {
-    let cfg = GpuConfig::default().with_num_sms(4).with_loop_kind(kind);
+fn run_profiled(
+    w: &workloads::Workload,
+    kind: LoopKind,
+    model: &str,
+    num_sms: u32,
+) -> (Stats, Profiler) {
+    let cfg = GpuConfig::default()
+        .with_num_sms(num_sms)
+        .with_loop_kind(kind);
     let mut filter = make_filter(model);
     let mut g = w.gmem.clone();
     let mut stats = Stats::default();
@@ -65,13 +75,13 @@ fn run_profiled(w: &workloads::Workload, kind: LoopKind, model: &str) -> (Stats,
     (stats, prof)
 }
 
-#[test]
-fn attribution_invariant_holds_across_zoo_models_and_loops() {
+fn assert_attribution_agrees(num_sms: u32) {
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
         for model in MODELS {
-            let (s_ref, p_ref) = run_profiled(&w, LoopKind::Lockstep, model);
-            let (s_ev, p_ev) = run_profiled(&w, LoopKind::EventDriven, model);
+            let (s_ref, p_ref) = run_profiled(&w, LoopKind::Lockstep, model, num_sms);
+            let (s_ev, p_ev) = run_profiled(&w, LoopKind::EventDriven, model, num_sms);
+            let model = format!("{model}@{num_sms} SMs");
 
             for (loop_name, s, p) in [("lockstep", &s_ref, &p_ref), ("event", &s_ev, &p_ev)] {
                 p.check_invariant()
@@ -81,7 +91,7 @@ fn attribution_invariant_holds_across_zoo_models_and_loops() {
                     s.cycles,
                     "{name}/{model}/{loop_name}: profiler cycle count drifted from Stats"
                 );
-                assert_eq!(p.num_sms(), 4, "{name}/{model}/{loop_name}");
+                assert_eq!(p.num_sms(), num_sms as usize, "{name}/{model}/{loop_name}");
             }
 
             assert_eq!(
@@ -104,6 +114,16 @@ fn attribution_invariant_holds_across_zoo_models_and_loops() {
 }
 
 #[test]
+fn attribution_invariant_holds_across_zoo_models_and_loops() {
+    assert_attribution_agrees(4);
+}
+
+#[test]
+fn attribution_agrees_at_the_default_sm_count() {
+    assert_attribution_agrees(GpuConfig::default().num_sms);
+}
+
+#[test]
 fn profiler_is_a_pure_observer() {
     for name in ["BP", "GEM", "BFS", "FFT"] {
         let w = workloads::build(name, Size::Small).unwrap();
@@ -115,7 +135,7 @@ fn profiler_is_a_pure_observer() {
             plain.merge_sequential(&SimSession::new(&cfg).run(l, &mut g_plain).unwrap());
         }
 
-        let (mut observed, prof) = run_profiled(&w, LoopKind::default(), "baseline");
+        let (mut observed, prof) = run_profiled(&w, LoopKind::default(), "baseline", 4);
         let (s_g, _) = {
             // Re-run for the memory image (run_profiled drops it).
             let mut g = w.gmem.clone();
