@@ -16,7 +16,7 @@
 
 use r2d2_core::analyzer::Analysis;
 use r2d2_isa::Op;
-use r2d2_sim::{functional, ExecError, GlobalMem, InstrEvent, Launch, Observer};
+use r2d2_sim::{functional, CancelToken, ExecError, GlobalMem, InstrEvent, Launch, Observer};
 use std::collections::{HashMap, HashSet};
 
 /// Dynamic thread-instruction counts under each ideal machine.
@@ -210,9 +210,23 @@ impl Observer for IdealObserver {
 ///
 /// Propagates watchdog errors from functional execution.
 pub fn measure_ideals(launch: &Launch, gmem: &mut GlobalMem) -> Result<IdealCounts, ExecError> {
+    measure_ideals_cancellable(launch, gmem, None)
+}
+
+/// [`measure_ideals`] that stops with [`ExecError::Cancelled`] once `cancel`
+/// is triggered, checked before each thread block.
+///
+/// # Errors
+///
+/// Cancellation, and watchdog errors from functional execution.
+pub fn measure_ideals_cancellable(
+    launch: &Launch,
+    gmem: &mut GlobalMem,
+    cancel: Option<&CancelToken>,
+) -> Result<IdealCounts, ExecError> {
     let analysis = r2d2_core::analyzer::analyze(&launch.kernel);
     let mut obs = IdealObserver::new(analysis);
-    functional::run(launch, gmem, 100_000_000, Some(&mut obs))?;
+    functional::run_cancellable(launch, gmem, 100_000_000, Some(&mut obs), cancel)?;
     Ok(obs.counts())
 }
 

@@ -19,4 +19,4 @@ pub mod filters;
 pub mod ideal;
 
 pub use filters::{DacFilter, DarsieFilter, DarsieScalarFilter};
-pub use ideal::{measure_ideals, IdealCounts, IdealObserver};
+pub use ideal::{measure_ideals, measure_ideals_cancellable, IdealCounts, IdealObserver};

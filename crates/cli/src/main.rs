@@ -615,7 +615,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     println!(
         "endpoints: POST /v1/jobs, POST /v1/jobs/batch, GET /v1/jobs/<id>, \
          DELETE /v1/jobs/<id>, GET /v1/jobs/<id>/progress, GET /v1/healthz, \
-         GET /v1/metrics, POST /v1/shutdown (unprefixed aliases deprecated)"
+         GET /v1/metrics, POST /v1/shutdown"
     );
     server.run()?;
     Ok(())

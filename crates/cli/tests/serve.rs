@@ -157,6 +157,44 @@ fn serve_and_submit_round_trip_with_graceful_shutdown() {
     );
 }
 
+#[test]
+fn sigterm_drains_and_exits_zero() {
+    let mut svc = Service::spawn_args(&["--workers", "1", "--queue-cap", "8"]);
+    let addr = svc.addr.clone();
+    let out = bin()
+        .args(["submit", "NN", "baseline", "--addr", &addr, "--wait"])
+        .output()
+        .expect("run r2d2 submit");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The daemon is idle, blocked in accept: SIGTERM alone must wake it.
+    let kill = Command::new("kill")
+        .args(["-TERM", &svc.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = svc.child.try_wait().expect("poll serve") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve did not exit within 10 s of SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "serve must drain and exit 0: {status}");
+    assert!(
+        r2d2_serve::healthz(&addr, Duration::from_secs(2)).is_err(),
+        "port must be closed after SIGTERM"
+    );
+}
+
 /// Poll a job's status over the wire until `want` matches it.
 fn poll_status(addr: &str, id: &str, limit: Duration, want: impl Fn(&str) -> bool) -> String {
     let deadline = std::time::Instant::now() + limit;

@@ -31,19 +31,21 @@
 //! the other live nodes, because a job submitted during a failover window
 //! lives on a non-primary node until its primary returns.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use r2d2_harness::json::{self, obj, Value};
 use r2d2_harness::JobSpec;
-use r2d2_serve::api::{error_body_retry, error_response, error_response_retry};
-use r2d2_serve::http::{
-    client_request, client_stream_start, read_request, ChunkedWriter, ClientResponse, ParseError,
-    Request, Response,
+use r2d2_serve::api::{
+    error_body_retry, error_response, error_response_retry, no_route, progress_job_id,
 };
-use r2d2_serve::server::{batch_specs, signal_received};
+use r2d2_serve::http::{
+    client_request, client_stream_start, ChunkedWriter, ClientResponse, Listener, Request,
+    Response, StreamStart,
+};
+use r2d2_serve::server::batch_specs;
 
 use crate::metrics::{render_fleet, DispatchMetrics};
 use crate::ring::Ring;
@@ -96,14 +98,10 @@ struct Shared {
     /// probe (or successful forward) sets it.
     alive: Vec<AtomicBool>,
     metrics: DispatchMetrics,
-    shutdown: AtomicBool,
+    listener: Listener,
 }
 
 impl Shared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal_received()
-    }
-
     fn live_count(&self) -> usize {
         self.alive
             .iter()
@@ -139,13 +137,12 @@ pub struct DispatcherHandle {
 impl DispatcherHandle {
     /// Request graceful shutdown, as SIGTERM would.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.listener.stop();
     }
 }
 
 /// A bound-but-not-yet-running dispatcher.
 pub struct Dispatcher {
-    listener: TcpListener,
     shared: Arc<Shared>,
 }
 
@@ -160,7 +157,6 @@ impl Dispatcher {
                 "dispatch requires at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
         let ring = Ring::new(cfg.backends.len());
         let alive = (0..cfg.backends.len())
             .map(|_| AtomicBool::new(true))
@@ -169,15 +165,15 @@ impl Dispatcher {
             ring,
             alive,
             metrics: DispatchMetrics::default(),
-            shutdown: AtomicBool::new(false),
+            listener: Listener::bind(&cfg.addr)?,
             cfg,
         });
-        Ok(Dispatcher { listener, shared })
+        Ok(Dispatcher { shared })
     }
 
     /// The actual bound address (resolves `:0` port picks).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.shared.listener.local_addr()
     }
 
     /// A shutdown handle, cloneable across threads.
@@ -187,52 +183,35 @@ impl Dispatcher {
         }
     }
 
-    /// Run until shutdown: probe loop + accept loop. The dispatcher holds
-    /// no jobs, so "drain" is just closing the listener — in-flight relays
-    /// finish on their own threads.
+    /// Run until shutdown: probe loop + serve loop. The dispatcher holds no
+    /// jobs, so draining only answers the connections already accepted.
     pub fn run(self) -> std::io::Result<()> {
-        let Dispatcher { listener, shared } = self;
-        listener.set_nonblocking(true)?;
-
-        let prober = {
-            let shared = Arc::clone(&shared);
+        let shared = &self.shared;
+        let result = std::thread::scope(|s| {
             std::thread::Builder::new()
                 .name("r2d2-dispatch-probe".into())
-                .spawn(move || probe_loop(&shared))
-                .expect("spawn probe loop")
-        };
-
-        while !shared.shutting_down() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("r2d2-dispatch-conn".into())
-                        .spawn(move || handle_connection(stream, peer, &shared))
-                        .expect("spawn connection handler");
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = prober.join();
+                .spawn_scoped(s, || probe_loop(shared))
+                .expect("spawn probe loop");
+            shared.listener.serve(
+                "dispatch",
+                shared.cfg.verbose,
+                |req, stream| route(req, stream, shared),
+                || {},
+            )
+        });
         if shared.cfg.verbose {
             eprintln!("[dispatch] bye");
         }
-        Ok(())
+        result
     }
 }
 
-/// Sweep every backend's `/v1/healthz` on the configured interval.
+/// Sweep every backend's `/v1/healthz` each interval until the dispatcher stops.
 fn probe_loop(shared: &Arc<Shared>) {
     // Short timeout: a probe exists to detect dead nodes quickly, not to
     // wait politely on a wedged one.
     let timeout = shared.cfg.request_timeout.min(Duration::from_secs(2));
-    while !shared.shutting_down() {
+    loop {
         for (i, addr) in shared.cfg.backends.iter().enumerate() {
             let up = matches!(
                 client_request(addr, "GET", "/v1/healthz", None, timeout),
@@ -246,68 +225,26 @@ fn probe_loop(shared: &Arc<Shared>) {
                 );
             }
         }
-        // Sleep in small steps so shutdown is prompt even with long
-        // intervals.
-        let mut remaining = shared.cfg.probe_interval;
-        while !remaining.is_zero() && !shared.shutting_down() {
-            let step = remaining.min(Duration::from_millis(50));
-            std::thread::sleep(step);
-            remaining -= step;
+        if shared.listener.wait(shared.cfg.probe_interval) {
+            return;
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let response = match read_request(&mut stream) {
-        Ok(req) => {
-            // Progress relays write their own chunked response.
-            if req.method == "GET" {
-                if let Some(id) = req
-                    .path
-                    .strip_prefix("/v1/jobs/")
-                    .and_then(|rest| rest.strip_suffix("/progress"))
-                {
-                    if shared.cfg.verbose {
-                        eprintln!("[dispatch] {peer} GET {} -> relay", req.path);
-                    }
-                    relay_progress(id, &mut stream, shared);
-                    return;
-                }
-            }
-            let resp = route(&req, shared);
-            if shared.cfg.verbose {
-                eprintln!(
-                    "[dispatch] {peer} {} {} -> {}",
-                    req.method, req.path, resp.status
-                );
-            }
-            resp
-        }
-        Err(ParseError::ConnectionClosed) => return,
-        Err(ParseError::TooLarge) => error_response(
-            413,
-            "payload-too-large",
-            "request head or body exceeds the size limits",
-        ),
-        Err(ParseError::Malformed(e)) => {
-            error_response(400, "malformed-request", &format!("malformed request: {e}"))
-        }
-        Err(ParseError::Io(_)) => return,
-    };
-    let _ = response.write_to(&mut stream);
-}
-
-fn route(req: &Request, shared: &Arc<Shared>) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
+/// The serve loop's handler; progress relays write their own chunked
+/// response, so they return `None`.
+fn route(req: &Request, stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Response> {
+    if let Some(id) = progress_job_id(req) {
+        return relay_progress(id, stream, shared);
+    }
+    Some(match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/jobs") => post_jobs(req, shared),
         ("POST", "/v1/jobs/batch") => post_batch(req, shared),
         ("GET" | "DELETE", p) if p.starts_with("/v1/jobs/") => {
             forward_job(req, &p["/v1/jobs/".len()..], shared)
         }
         ("GET", "/v1/healthz") => {
-            if shared.shutting_down() {
+            if shared.listener.is_stopped() {
                 error_response(503, "draining", "dispatcher is draining")
             } else if shared.live_count() > 0 {
                 Response::text(200, "ok")
@@ -317,18 +254,11 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
         }
         ("GET", "/v1/metrics") => metrics(shared),
         ("POST", "/v1/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.listener.stop();
             Response::text(200, "draining")
         }
-        ("GET" | "POST" | "DELETE", p) => {
-            error_response(404, "not-found", &format!("no route for {p}"))
-        }
-        _ => error_response(
-            405,
-            "method-not-allowed",
-            &format!("method {} is not supported", req.method),
-        ),
-    }
+        _ => no_route(req),
+    })
 }
 
 /// The terminal "fleet unreachable" answer: 503 + `Retry-After`.
@@ -358,24 +288,12 @@ fn path_with_query(req: &Request) -> String {
 /// Translate a backend answer into our response to the client, preserving
 /// status, body, content type, and the `Retry-After` hint.
 fn relay(resp: &ClientResponse) -> Response {
-    let content_type = resp.header("content-type").unwrap_or("application/json");
-    let mut out = if content_type.starts_with("text/plain") {
-        // `Response::text` appends the newline the backend already sent, so
-        // build the body verbatim through the JSON constructor's sibling.
-        Response {
-            status: resp.status,
-            headers: Vec::new(),
-            content_type: "text/plain; charset=utf-8",
-            body: resp.body.clone().into_bytes(),
-        }
-    } else {
-        Response {
-            status: resp.status,
-            headers: Vec::new(),
-            content_type: "application/json",
-            body: resp.body.clone().into_bytes(),
-        }
+    // Verbatim: `Response::text` would append the newline the backend sent.
+    let content_type = match resp.header("content-type") {
+        Some(t) if t.starts_with("text/plain") => "text/plain; charset=utf-8",
+        _ => "application/json",
     };
+    let mut out = Response::raw(resp.status, content_type, resp.body.clone().into_bytes());
     if let Some(ra) = resp.header("retry-after") {
         out = out.header("Retry-After", ra);
     }
@@ -655,15 +573,27 @@ fn forward_job(req: &Request, id: &str, shared: &Arc<Shared>) -> Response {
 /// chunked NDJSON body chunk-for-chunk. The head/body split of
 /// [`client_stream_start`] lets us try another backend on 404/connect
 /// failure *before* committing to a response head.
-fn relay_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>) {
+fn relay_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Response> {
     let Some(hash) = r2d2_serve::queue::parse_job_id(id) else {
-        let _ = error_response(400, "bad-job-id", "job ids are 16 hex digits").write_to(stream);
-        return;
+        return Some(error_response(
+            400,
+            "bad-job-id",
+            "job ids are 16 hex digits",
+        ));
     };
     let candidates = shared.candidates(hash);
     let primary = shared.ring.primary(hash);
     let path = format!("/v1/jobs/{id}/progress");
-    let mut first_404: Option<(u16, String)> = None;
+    // A buffered upstream answer (an error body), relayed whole.
+    let buffered = |status: u16, open: StreamStart| {
+        let mut body = Vec::new();
+        let _ = open.drain(&mut |chunk| {
+            body.extend_from_slice(chunk);
+            Ok(())
+        });
+        Response::raw(status, "application/json", body)
+    };
+    let mut first_404: Option<Response> = None;
     for &b in &candidates {
         let open = match client_stream_start(
             &shared.cfg.backends[b],
@@ -683,12 +613,7 @@ fn relay_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>) {
         };
         if open.status == 404 {
             if first_404.is_none() {
-                let mut body = String::new();
-                let _ = open.drain(&mut |chunk| {
-                    body.push_str(&String::from_utf8_lossy(chunk));
-                    Ok(())
-                });
-                first_404 = Some((404, body));
+                first_404 = Some(buffered(404, open));
             }
             continue;
         }
@@ -699,46 +624,18 @@ fn relay_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>) {
                 .failover_total
                 .fetch_add(1, Ordering::Relaxed);
         }
-        if open.is_chunked() {
-            let status = open.status;
-            let Ok(mut w) = ChunkedWriter::start(stream, status, "application/x-ndjson") else {
-                return;
-            };
-            let _ = open.drain(&mut |chunk| w.chunk(chunk));
-            let _ = w.finish();
-        } else {
-            // Buffered upstream answer (an error body): relay it whole.
-            let status = open.status;
-            let mut body = Vec::new();
-            let _ = open.drain(&mut |chunk| {
-                body.extend_from_slice(chunk);
-                Ok(())
-            });
-            let resp = Response {
-                status,
-                headers: Vec::new(),
-                content_type: "application/json",
-                body,
-            };
-            let _ = resp.write_to(stream);
+        if !open.is_chunked() {
+            return Some(buffered(open.status, open));
         }
-        return;
+        let mut w = ChunkedWriter::start(stream, open.status, "application/x-ndjson").ok()?;
+        let _ = open.drain(&mut |chunk| w.chunk(chunk));
+        let _ = w.finish();
+        return None;
     }
-    match first_404 {
-        Some((status, body)) => {
-            shared.metrics.routed_total.fetch_add(1, Ordering::Relaxed);
-            let resp = Response {
-                status,
-                headers: Vec::new(),
-                content_type: "application/json",
-                body: body.into_bytes(),
-            };
-            let _ = resp.write_to(stream);
-        }
-        None => {
-            let _ = no_backend_live().write_to(stream);
-        }
+    if first_404.is_some() {
+        shared.metrics.routed_total.fetch_add(1, Ordering::Relaxed);
     }
+    Some(first_404.unwrap_or_else(no_backend_live))
 }
 
 /// `GET /v1/metrics`: dispatcher-local counters plus the summed additive

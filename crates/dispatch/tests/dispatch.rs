@@ -373,3 +373,35 @@ fn relayed_progress_stream_is_byte_identical_to_direct() {
 
     stop_dispatcher(&handle, join);
 }
+
+#[test]
+fn unprefixed_paths_answer_404_not_found() {
+    let b0 = Backend::start("unprefixed", 0);
+    let (addr, handle, join) = start_dispatcher(&[&b0]);
+    let spec = JobSpec::new("NN", Size::Small, ModelSpec::Baseline);
+    let body = spec.to_json().to_json();
+    let id = spec.hash_hex();
+    for (method, path) in [
+        ("GET", "/healthz".to_string()),
+        ("GET", "/metrics".to_string()),
+        ("POST", "/jobs".to_string()),
+        ("POST", "/jobs/batch".to_string()),
+        ("GET", format!("/jobs/{id}")),
+        ("DELETE", format!("/jobs/{id}")),
+        ("GET", format!("/jobs/{id}/progress")),
+        ("POST", "/shutdown".to_string()),
+    ] {
+        let resp = r2d2_serve::http::client_request(&addr, method, &path, Some(&body), T).unwrap();
+        assert_eq!(resp.status, 404, "{method} {path}: {}", resp.body);
+        let v = r2d2_harness::json::parse(&resp.body).expect("error body is JSON");
+        let err = r2d2_serve::ApiError::from_response(404, &v).expect("unified error schema");
+        assert_eq!(err.code, "not-found", "{method} {path}");
+    }
+    // Nothing reached the backend, and the unprefixed shutdown did not
+    // drain the dispatcher.
+    assert_eq!(b0.metric("r2d2_serve_jobs_submitted_total"), 0);
+    let (code, _) = client::healthz(&addr, T).unwrap();
+    assert_eq!(code, 200);
+
+    stop_dispatcher(&handle, join);
+}

@@ -176,9 +176,8 @@ fn execute_inner(
     let mut stats = Stats::default();
     let mut used_r2d2 = false;
     let mut ideal = None;
-    // The timing loops poll the token every epoch; this check only covers
-    // the gaps they cannot see — between launches, and the functional-only
-    // Ideals measurements.
+    // The timing loops poll the token every epoch and the functional Ideals
+    // run every thread block; this check covers the gaps between launches.
     let check_cancel = || -> Result<(), String> {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             Err(format!(
@@ -196,7 +195,7 @@ fn execute_inner(
             let mut acc = r2d2_baselines::IdealCounts::default();
             for l in &w.launches {
                 check_cancel()?;
-                let c = r2d2_baselines::measure_ideals(l, &mut gmem)
+                let c = r2d2_baselines::measure_ideals_cancellable(l, &mut gmem, cancel)
                     .map_err(|e| format!("{}/Ideals: {e}", w.name))?;
                 acc.baseline += c.baseline;
                 acc.wp += c.wp;

@@ -14,15 +14,14 @@
 //! § "Dispatch tier & the /v1 wire API" and spot-checked by the
 //! error-schema golden test in `crates/serve/tests/service.rs`.
 //!
-//! Paths are frozen under the `/v1` prefix. The unprefixed spellings from
-//! the pre-v1 service remain as deprecated aliases that answer identically
-//! plus a `Deprecation: true` header; `scripts/check_api_surface.py` fails
-//! CI if a handler is ever registered outside `/v1` without that alias
-//! mechanism.
+//! Paths are frozen under the `/v1` prefix; an unprefixed path answers
+//! `404 not-found` like any other unknown route.
+//! `scripts/check_api_surface.py` fails CI if a handler is ever registered
+//! outside `/v1`.
 
 use r2d2_harness::json::{self, Value};
 
-use crate::http::Response;
+use crate::http::{Request, Response};
 
 /// Every `(method, canonical path)` the service answers, `{id}` standing in
 /// for a 16-hex job id. Machine-checked by `scripts/check_api_surface.py`:
@@ -118,15 +117,30 @@ pub fn error_response_retry(
     .header("Retry-After", &retry_after_s.to_string())
 }
 
-/// Map a request path onto its canonical `/v1` form. Returns the canonical
-/// path and whether the caller used a deprecated unprefixed alias (in which
-/// case the response must carry `Deprecation: true`).
-pub fn canonical_path(path: &str) -> (String, bool) {
-    if path == "/v1" || path.starts_with("/v1/") {
-        (path.to_string(), false)
-    } else {
-        (format!("/v1{path}"), true)
+/// The answer to a request no route matched: `404`, or `405` for a method
+/// the API does not use.
+pub fn no_route(req: &Request) -> Response {
+    match req.method.as_str() {
+        "GET" | "POST" | "DELETE" => {
+            error_response(404, "not-found", &format!("no route for {}", req.path))
+        }
+        m => error_response(
+            405,
+            "method-not-allowed",
+            &format!("method {m} is not supported"),
+        ),
     }
+}
+
+/// The job id of a `GET /v1/jobs/<id>/progress` request — the one endpoint
+/// whose handler writes its own chunked response on both tiers.
+pub fn progress_job_id(req: &Request) -> Option<&str> {
+    if req.method != "GET" {
+        return None;
+    }
+    req.path
+        .strip_prefix("/v1/jobs/")
+        .and_then(|rest| rest.strip_suffix("/progress"))
 }
 
 #[cfg(test)]
@@ -153,14 +167,6 @@ mod tests {
         assert_eq!(err.retry_after_s, None);
         // 2xx bodies never decode as errors.
         assert!(ApiError::from_response(200, &v).is_none());
-    }
-
-    #[test]
-    fn canonical_path_maps_aliases_and_keeps_v1() {
-        assert_eq!(canonical_path("/jobs"), ("/v1/jobs".into(), true));
-        assert_eq!(canonical_path("/v1/jobs"), ("/v1/jobs".into(), false));
-        assert_eq!(canonical_path("/healthz"), ("/v1/healthz".into(), true));
-        assert_eq!(canonical_path("/v1"), ("/v1".into(), false));
     }
 
     #[test]

@@ -7,16 +7,227 @@
 //! headers + body on the way out, and a blocking client for `r2d2 submit`
 //! and the integration tests. Requests beyond the size limits are rejected
 //! rather than buffered, so a misbehaving client cannot balloon memory.
+//!
+//! [`Listener::serve`] is the server loop both tiers run.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
+
+use crate::api::error_response;
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body. JobSpec submissions are a few hundred
 /// bytes; anything near this limit is garbage.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Connection threads one server runs at most. A `?wait=1` submission or a
+/// progress stream holds one while its job runs; more connections wait.
+pub const MAX_CONNECTION_THREADS: usize = 64;
+
+/// Set by the SIGTERM/SIGINT handler.
+static SIGNALED: AtomicBool = AtomicBool::new(false);
+
+/// Sockets of running [`Listener::serve`] loops; `-1` marks a free slot.
+#[cfg(unix)]
+static LISTEN_FDS: [std::sync::atomic::AtomicI32; 16] =
+    [const { std::sync::atomic::AtomicI32::new(-1) }; 16];
+
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+    /// With `SHUT_RD` (0) on a listening socket, Linux ends the listen and
+    /// fails a blocked or later `accept` at once.
+    fn shutdown(fd: i32, how: i32) -> i32;
+}
+
+/// Install process-wide SIGTERM/SIGINT handlers that stop every
+/// [`Listener::serve`] loop, through the libc `signal` symbol (no signal
+/// crate). glibc's `signal` sets `SA_RESTART`, so instead of interrupting
+/// `accept` the handler shuts the sockets down. No-op on non-unix targets.
+pub fn install_signal_handlers() {
+    #[cfg(unix)]
+    {
+        extern "C" fn on_signal(_sig: i32) {
+            // Async-signal-safe: atomics and shutdown(2).
+            SIGNALED.store(true, Ordering::SeqCst);
+            for slot in &LISTEN_FDS {
+                let fd = slot.load(Ordering::SeqCst);
+                if fd >= 0 {
+                    // SAFETY: no pointers; `serve` clears the slot before
+                    // its socket can close.
+                    unsafe { shutdown(fd, 0) };
+                }
+            }
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        for sig in [SIGINT, SIGTERM] {
+            // SAFETY: `on_signal` is an `extern "C" fn(i32)` that performs
+            // only async-signal-safe operations.
+            unsafe { signal(sig, on_signal as *const () as usize) };
+        }
+    }
+}
+
+/// A listening socket that [`Listener::serve`] accepts on until
+/// [`Listener::stop`] or SIGTERM/SIGINT.
+#[derive(Debug)]
+pub struct Listener {
+    socket: TcpListener,
+    stopped: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Listener {
+    /// Bind `addr` (`:0` picks a free port).
+    pub fn bind(addr: &str) -> std::io::Result<Listener> {
+        Ok(Listener {
+            socket: TcpListener::bind(addr)?,
+            stopped: Mutex::new(false),
+            changed: Condvar::new(),
+        })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.socket.local_addr()
+    }
+
+    /// Fire the latch and wake the blocked `accept` (on Linux; elsewhere
+    /// the loop stops at its next connection). Idempotent.
+    pub fn stop(&self) {
+        let mut stopped = self.stopped.lock().expect("stop latch poisoned");
+        if !*stopped {
+            *stopped = true;
+            // SAFETY: no pointers; the socket is open while `self` lives.
+            #[cfg(unix)]
+            unsafe {
+                shutdown(std::os::fd::AsRawFd::as_raw_fd(&self.socket), 0)
+            };
+            self.changed.notify_all();
+        }
+    }
+
+    /// Whether the latch fired or a SIGTERM/SIGINT arrived.
+    pub fn is_stopped(&self) -> bool {
+        *self.stopped.lock().expect("stop latch poisoned") || SIGNALED.load(Ordering::SeqCst)
+    }
+
+    /// Block until the latch fires or `timeout` passes; returns whether it
+    /// fired.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let stopped = self.stopped.lock().expect("stop latch poisoned");
+        let waited = self.changed.wait_timeout_while(stopped, timeout, |s| !*s);
+        *waited.expect("stop latch poisoned").0
+    }
+
+    /// Accept until stopped, handing each connection to one of at most
+    /// [`MAX_CONNECTION_THREADS`] reused threads, which answer `413`/`400`
+    /// to an oversized or unparseable request and pass any other to
+    /// `handler`; it returns the response, or `None` once it wrote its own.
+    /// Once stopped, `on_stop` runs and every accepted connection is
+    /// answered before `serve` returns. `name` tags threads and log lines.
+    pub fn serve<H>(
+        &self,
+        name: &str,
+        verbose: bool,
+        handler: H,
+        on_stop: impl FnOnce(),
+    ) -> std::io::Result<()>
+    where
+        H: Fn(&Request, &mut TcpStream) -> Option<Response> + Sync,
+    {
+        #[cfg(unix)]
+        let slot = LISTEN_FDS.iter().find(|s| {
+            let fd = std::os::fd::AsRawFd::as_raw_fd(&self.socket);
+            s.compare_exchange(-1, fd, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        });
+        let (conns, queue) = mpsc::channel::<(TcpStream, SocketAddr)>();
+        let queue = Mutex::new(queue);
+        // Threads waiting for a connection that no queued one has claimed.
+        let idle = AtomicUsize::new(0);
+        let result = std::thread::scope(|s| {
+            let mut threads = 0;
+            let result = loop {
+                if self.is_stopped() {
+                    break Ok(());
+                }
+                let conn = match self.socket.accept() {
+                    Ok(conn) => conn,
+                    Err(_) if self.is_stopped() => break Ok(()),
+                    Err(e) => break Err(e),
+                };
+                conns.send(conn).expect("the receiver outlives the loop");
+                let claimed =
+                    idle.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+                if claimed.is_err() && threads < MAX_CONNECTION_THREADS {
+                    threads += 1;
+                    std::thread::Builder::new()
+                        .name(format!("r2d2-{name}-conn"))
+                        .spawn_scoped(s, || loop {
+                            let next = queue.lock().expect("connection queue poisoned").recv();
+                            let Ok((stream, peer)) = next else { break };
+                            handle_connection(stream, peer, name, verbose, &handler);
+                            idle.fetch_add(1, Ordering::SeqCst);
+                        })
+                        .expect("spawn connection thread");
+                }
+            };
+            self.stop();
+            on_stop();
+            drop(conns);
+            result
+        });
+        #[cfg(unix)]
+        if let Some(slot) = slot {
+            slot.store(-1, Ordering::SeqCst);
+        }
+        result
+    }
+}
+
+fn handle_connection<H>(
+    mut stream: TcpStream,
+    peer: SocketAddr,
+    name: &str,
+    verbose: bool,
+    handler: &H,
+) where
+    H: Fn(&Request, &mut TcpStream) -> Option<Response>,
+{
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let resp = match read_request(&mut stream) {
+        Ok(req) => {
+            let resp = handler(&req, &mut stream);
+            if verbose {
+                let outcome = resp
+                    .as_ref()
+                    .map_or("stream".into(), |r| r.status.to_string());
+                eprintln!("[{name}] {peer} {} {} -> {outcome}", req.method, req.path);
+            }
+            resp
+        }
+        Err(ParseError::ConnectionClosed | ParseError::Io(_)) => None,
+        Err(ParseError::TooLarge) => Some(error_response(
+            413,
+            "payload-too-large",
+            "request head or body exceeds the size limits",
+        )),
+        Err(ParseError::Malformed(e)) => Some(error_response(
+            400,
+            "malformed-request",
+            &format!("malformed request: {e}"),
+        )),
+    };
+    if let Some(resp) = resp {
+        let _ = resp.write_to(&mut stream);
+    }
+}
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -158,14 +369,19 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, v: &r2d2_harness::json::Value) -> Response {
+    /// A response carrying `body` verbatim.
+    pub fn raw(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/json",
-            body: v.to_json().into_bytes(),
+            content_type,
+            body,
         }
+    }
+
+    /// A JSON response.
+    pub fn json(status: u16, v: &r2d2_harness::json::Value) -> Response {
+        Response::raw(status, "application/json", v.to_json().into_bytes())
     }
 
     /// A plain-text response (a trailing newline is appended if missing).
@@ -174,12 +390,7 @@ impl Response {
         if !body.ends_with('\n') {
             body.push('\n');
         }
-        Response {
-            status,
-            headers: Vec::new(),
-            content_type: "text/plain; charset=utf-8",
-            body: body.into_bytes(),
-        }
+        Response::raw(status, "text/plain; charset=utf-8", body.into_bytes())
     }
 
     /// Add a header.
@@ -231,31 +442,13 @@ impl<'a> ChunkedWriter<'a> {
         status: u16,
         content_type: &str,
     ) -> std::io::Result<ChunkedWriter<'a>> {
-        ChunkedWriter::start_with(stream, status, content_type, &[])
-    }
-
-    /// [`ChunkedWriter::start`] with extra response headers (e.g. the
-    /// `Deprecation: true` marker on legacy unversioned paths).
-    pub fn start_with(
-        stream: &'a mut TcpStream,
-        status: u16,
-        content_type: &str,
-        extra_headers: &[(&str, &str)],
-    ) -> std::io::Result<ChunkedWriter<'a>> {
-        let mut head = format!(
+        let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\n\
-             Connection: close\r\n",
+             Connection: close\r\n\r\n",
             status,
             reason_phrase(status),
             content_type
         );
-        for (k, v) in extra_headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
         Ok(ChunkedWriter { stream })

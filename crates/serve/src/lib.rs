@@ -13,15 +13,17 @@
 //!   [`r2d2_harness::JobSpec::content_hash`], the same key the result cache
 //!   uses, so identical in-flight submissions coalesce into one simulation
 //!   and completed ones answer straight from `results/cache/`.
-//! - [`server::Server`] — accept loop plus a worker pool executing jobs
-//!   through [`r2d2_harness::Executor`] with a per-job wall-clock watchdog.
-//!   When the queue is full, submissions shed with `429 Too Many Requests`
-//!   and a `Retry-After` hint.
-//! - [`metrics::Metrics`] — `/metrics` exposes queue depth, in-flight
+//! - [`http::Listener`] — the blocking server loop both this crate and the
+//!   dispatch tier run, woken for shutdown without polling.
+//! - [`server::Server`] — that loop plus a worker pool simulating jobs
+//!   through [`r2d2_harness::Executor`] and a watchdog cancelling jobs past
+//!   their wall-clock deadline. When the queue is full, submissions shed
+//!   with `429 Too Many Requests` and a `Retry-After` hint.
+//! - [`metrics::Metrics`] — `/v1/metrics` exposes queue depth, in-flight
 //!   count, cache hit rate, jobs/sec, and p50/p99 job wall time in
 //!   plain-text Prometheus format.
-//! - Graceful shutdown — SIGTERM, ctrl-c, or `POST /shutdown` stop intake,
-//!   fail still-pending jobs, and drain in-flight work before exit.
+//! - Graceful shutdown — SIGTERM, ctrl-c, or `POST /v1/shutdown` stop
+//!   intake, fail still-pending jobs, and drain in-flight work before exit.
 //! - [`client`] — a blocking client (`r2d2 submit`) on `std::net::TcpStream`.
 //!
 //! See `DESIGN.md` § "Service architecture" for the protocol details and
@@ -35,12 +37,12 @@ pub mod queue;
 pub mod server;
 
 pub use api::{
-    canonical_path, error_body, error_body_retry, error_response, error_response_retry, ApiError,
-    ENDPOINTS,
+    error_body, error_body_retry, error_response, error_response_retry, ApiError, ENDPOINTS,
 };
 pub use client::{
     cancel, healthz, job_status, metrics as fetch_metrics, shutdown, submit, submit_batch,
     submit_set, watch, SubmitOutcome,
 };
+pub use http::install_signal_handlers;
 pub use queue::{Cancel, Job, JobQueue, JobStatus, Lookup, Submit};
-pub use server::{install_signal_handlers, signal_received, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};

@@ -147,23 +147,11 @@ impl Job {
     /// Block until the job reaches a terminal state or `timeout` elapses.
     /// Returns `false` on timeout.
     pub fn wait(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.state.lock().unwrap();
-        while !s.status.is_terminal() {
-            let now = std::time::Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            let (guard, res) = self.done.wait_timeout(s, left).unwrap();
-            s = guard;
-            if res.timed_out() && !s.status.is_terminal() {
-                return false;
-            }
-        }
-        true
+        let s = self.state.lock().expect("job state poisoned");
+        let waited = self
+            .done
+            .wait_timeout_while(s, timeout, |s| !s.status.is_terminal());
+        waited.expect("job state poisoned").0.status.is_terminal()
     }
 }
 
@@ -412,11 +400,6 @@ impl JobQueue {
             self.finished(&job);
         }
         self.work.notify_all();
-    }
-
-    /// Whether `begin_shutdown` has been called.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.lock().unwrap().shutting_down
     }
 }
 

@@ -1,18 +1,17 @@
 //! The resident simulation service.
 //!
-//! One [`Server`] owns a `TcpListener`, a [`JobQueue`], a worker pool, and
+//! One [`Server`] owns a [`Listener`], a [`JobQueue`], a worker pool, and
 //! shared [`Metrics`]. Connections are one request each (`Connection:
-//! close`), handled on short-lived threads; simulation work happens only on
-//! the worker pool, which executes jobs through the harness
-//! [`Executor`] — so the service, the `sweep` CLI, and the bench targets
-//! all share one execution path and one content-addressed cache.
+//! close`); simulation work happens only on the worker pool, which executes
+//! jobs through the harness [`Executor`] — so the service, the `sweep` CLI,
+//! and the bench targets all share one execution path and one
+//! content-addressed cache.
 //!
 //! ## Endpoints
 //!
-//! Every endpoint lives under the frozen `/v1` prefix; the unprefixed
-//! pre-v1 spellings remain as deprecated aliases that behave identically
-//! but answer with a `Deprecation: true` header. All 4xx/5xx responses
-//! carry the unified error schema (see [`crate::api`]).
+//! Every endpoint lives under the frozen `/v1` prefix; any other path
+//! answers `404 not-found`. All 4xx/5xx responses carry the unified error
+//! schema (see [`crate::api`]).
 //!
 //! | method & path    | behavior |
 //! |------------------|----------|
@@ -27,60 +26,26 @@
 //!
 //! ## Shutdown protocol
 //!
-//! SIGTERM, SIGINT (ctrl-c), or `POST /shutdown` set one flag. The accept
-//! loop stops taking connections, the queue rejects new submissions (503)
-//! and fails still-pending jobs, workers finish the job they are running
-//! (in-flight work is drained, never killed), and [`Server::run`] returns.
+//! SIGTERM, SIGINT (ctrl-c), or `POST /v1/shutdown` stop the listener. The
+//! queue rejects new submissions (503) and fails still-pending jobs,
+//! workers finish the job they are running (in-flight work is drained,
+//! never killed), and [`Server::run`] returns once every accepted
+//! connection is answered.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use r2d2_harness::json::{self, obj, Value};
 use r2d2_harness::{Cache, Executor, JobSpec, ProgressSnapshot};
 
-use crate::api::{canonical_path, error_response, error_response_retry};
-use crate::http::{read_request, ChunkedWriter, ParseError, Request, Response};
+use crate::api::{error_response, error_response_retry, no_route, progress_job_id};
+use crate::http::{ChunkedWriter, Listener, Request, Response};
 use crate::metrics::Metrics;
 use crate::queue::{
     parse_job_id, Cancel, Job, JobQueue, JobStatus, Lookup, Submit, RETAIN_COMPLETED,
 };
-
-/// Set by the process signal handlers (SIGTERM / SIGINT); checked by every
-/// server's accept loop alongside its own flag.
-static SIGNALED: AtomicBool = AtomicBool::new(false);
-
-/// Install process-wide SIGTERM/SIGINT handlers that request graceful
-/// shutdown of every running [`Server`] in the process. Uses the libc
-/// `signal` symbol directly — the workspace links no signal-handling crate.
-/// No-op on non-unix targets.
-pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        unsafe extern "C" fn on_signal(_sig: i32) {
-            // Async-signal-safe: a single atomic store.
-            SIGNALED.store(true, Ordering::SeqCst);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal as *const () as usize);
-            signal(SIGTERM, on_signal as *const () as usize);
-        }
-    }
-}
-
-/// Whether a SIGTERM/SIGINT handled by [`install_signal_handlers`] has
-/// fired. The dispatch tier polls this from its own accept loop so one
-/// handler installation serves every server kind in the process.
-pub fn signal_received() -> bool {
-    SIGNALED.load(Ordering::SeqCst)
-}
 
 /// Tunables for one service instance.
 #[derive(Debug, Clone)]
@@ -93,8 +58,8 @@ pub struct ServerConfig {
     /// Pending-queue capacity; submissions beyond it get 429.
     pub queue_cap: usize,
     /// Per-job wall-clock watchdog. A job still running after this is
-    /// marked failed and its worker freed (the abandoned simulation thread
-    /// finishes in the background and its result is discarded).
+    /// cancelled at the simulator's next check, marked failed and never
+    /// cached; its worker takes the next job.
     pub job_timeout: Duration,
     /// Read cached results (completed jobs are stored back either way).
     pub use_cache: bool,
@@ -129,12 +94,15 @@ struct Shared {
     queue: JobQueue,
     metrics: Metrics,
     cache: Cache,
-    shutdown: AtomicBool,
+    listener: Listener,
+    watchdog: Watchdog,
 }
 
 impl Shared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || SIGNALED.load(Ordering::SeqCst)
+    /// Begin graceful shutdown: wake the acceptor and stop the queue.
+    fn shutdown(&self) {
+        self.listener.stop();
+        self.queue.begin_shutdown();
     }
 }
 
@@ -147,14 +115,12 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Request graceful shutdown, as SIGTERM would.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.begin_shutdown();
+        self.shared.shutdown();
     }
 }
 
 /// A bound-but-not-yet-running service.
 pub struct Server {
-    listener: TcpListener,
     shared: Arc<Shared>,
 }
 
@@ -162,7 +128,6 @@ impl Server {
     /// Bind the listener and build the shared state. The service does not
     /// accept connections until [`Server::run`].
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
         let cache = match &cfg.results_dir {
             Some(dir) => Cache::at(&dir.join("cache")),
             None => Cache::open_default(),
@@ -171,15 +136,16 @@ impl Server {
             queue: JobQueue::with_retention(cfg.queue_cap, cfg.retain_completed),
             metrics: Metrics::default(),
             cache,
-            shutdown: AtomicBool::new(false),
+            listener: Listener::bind(&cfg.addr)?,
+            watchdog: Watchdog::default(),
             cfg,
         });
-        Ok(Server { listener, shared })
+        Ok(Server { shared })
     }
 
     /// The actual bound address (resolves `:0` port picks).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.shared.listener.local_addr()
     }
 
     /// A shutdown handle, cloneable across threads.
@@ -189,85 +155,117 @@ impl Server {
         }
     }
 
-    /// Run until graceful shutdown completes: accept loop + worker pool,
-    /// then drain. Returns once every worker has finished its last job.
+    /// Run until graceful shutdown completes: serve loop, worker pool and
+    /// watchdog, then drain every running job and accepted connection.
     pub fn run(self) -> std::io::Result<()> {
-        let Server { listener, shared } = self;
-        listener.set_nonblocking(true)?;
-
-        let mut workers = Vec::new();
-        for i in 0..shared.cfg.workers {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("r2d2-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker"),
-            );
-        }
-
-        while !shared.shutting_down() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let shared = Arc::clone(&shared);
+        let shared = &self.shared;
+        let result = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..shared.cfg.workers)
+                .map(|i| {
                     std::thread::Builder::new()
-                        .name("r2d2-serve-conn".into())
-                        .spawn(move || handle_connection(stream, peer, &shared))
-                        .expect("spawn connection handler");
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                        .name(format!("r2d2-serve-worker-{i}"))
+                        .spawn_scoped(s, || worker_loop(shared))
+                        .expect("spawn worker")
+                })
+                .collect();
+            std::thread::Builder::new()
+                .name("r2d2-serve-watchdog".into())
+                .spawn_scoped(s, || shared.watchdog.run())
+                .expect("spawn watchdog");
+            // Stopping the queue fails pending jobs and wakes the workers,
+            // so `?wait=1` connections blocked on those jobs can answer.
+            let result = shared.listener.serve(
+                "serve",
+                shared.cfg.verbose,
+                |req, stream| route(req, stream, shared),
+                || shared.queue.begin_shutdown(),
+            );
+            for w in workers {
+                let _ = w.join();
             }
-        }
-
-        // Drain: stop the queue (fails pending jobs, wakes workers), then
-        // wait for in-flight jobs to finish.
-        shared.queue.begin_shutdown();
-        for w in workers {
-            let _ = w.join();
-        }
+            shared.watchdog.close();
+            result
+        });
         if shared.cfg.verbose {
             eprintln!("[serve] drained; bye");
         }
-        Ok(())
+        result
     }
 }
 
-/// Worker: pop jobs until shutdown, executing each under the watchdog.
+/// One thread per server sleeps until the earliest running job's deadline
+/// and fires that job's cancel token.
+#[derive(Default)]
+struct Watchdog {
+    state: Mutex<Deadlines>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Deadlines {
+    /// Running jobs and their deadlines, `None` once fired.
+    running: Vec<(Arc<Job>, Option<Instant>)>,
+    /// Set once the workers have drained.
+    closed: bool,
+}
+
+impl Watchdog {
+    /// Watch `job` from now on (a `timeout` past `Instant`'s range never fires).
+    fn arm(&self, job: &Arc<Job>, timeout: Duration) {
+        if let Some(at) = Instant::now().checked_add(timeout) {
+            let mut state = self.state.lock().expect("watchdog poisoned");
+            state.running.push((Arc::clone(job), Some(at)));
+            self.changed.notify_one();
+        }
+    }
+
+    /// Stop watching `job`; returns whether its deadline fired.
+    fn disarm(&self, job: &Arc<Job>) -> bool {
+        let running = &mut self.state.lock().expect("watchdog poisoned").running;
+        let i = running.iter().position(|(j, _)| Arc::ptr_eq(j, job));
+        i.is_some_and(|i| running.swap_remove(i).1.is_none())
+    }
+
+    fn run(&self) {
+        let mut state = self.state.lock().expect("watchdog poisoned");
+        while !state.closed {
+            let now = Instant::now();
+            for (job, at) in &mut state.running {
+                if at.is_some_and(|at| at <= now) {
+                    *at = None;
+                    job.cancel.cancel();
+                }
+            }
+            let next = state.running.iter().filter_map(|(_, at)| *at).min();
+            let wait = next.map_or(Duration::MAX, |at| at - now);
+            (state, _) = self
+                .changed
+                .wait_timeout(state, wait)
+                .expect("watchdog poisoned");
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().expect("watchdog poisoned").closed = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Worker: pop jobs until shutdown, simulating each here under the watchdog.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-
-        // Run the simulation on a dedicated thread so the watchdog can give
-        // up on it. On timeout the thread is abandoned: it finishes in the
-        // background (the simulator has its own cycle watchdog) and its
-        // result is dropped with the channel.
-        let (tx, rx) = mpsc::channel();
-        let spec = job.spec.clone();
-        let cache = shared.cache.clone();
-        let use_cache = shared.cfg.use_cache;
-        let cancel = job.cancel.clone();
-        let progress = job.progress.clone();
-        std::thread::Builder::new()
-            .name("r2d2-serve-sim".into())
-            .spawn(move || {
-                let result = Executor::new(&cache)
-                    .use_cache(use_cache)
-                    .cancel(cancel)
-                    .progress(progress)
-                    .run(&spec);
-                let _ = tx.send(result);
-            })
-            .expect("spawn sim thread");
-
-        let outcome = rx.recv_timeout(shared.cfg.job_timeout);
+        shared.watchdog.arm(&job, shared.cfg.job_timeout);
+        let outcome = Executor::new(&shared.cache)
+            .use_cache(shared.cfg.use_cache)
+            .cancel(job.cancel.clone())
+            .progress(job.progress.clone())
+            .run(&job.spec);
+        let timed_out = shared.watchdog.disarm(&job);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         match outcome {
-            Ok(Ok(rec)) => {
+            Ok(rec) => {
                 if rec.cached {
                     shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -285,26 +283,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 job.mark_done(rec);
             }
-            Ok(Err(e)) if job.cancel.is_cancelled() => {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                if shared.cfg.verbose {
-                    eprintln!("[serve] {} {} CANCELLED: {e}", job.id, job.spec.label());
-                }
-                job.mark_cancelled(e);
-            }
-            Ok(Err(e)) => {
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                if shared.cfg.verbose {
-                    eprintln!("[serve] {} {} FAILED: {e}", job.id, job.spec.label());
-                }
-                job.mark_failed(e);
-            }
-            Err(_) => {
-                // The watchdog gave up on this job; trigger its token so the
-                // abandoned simulation thread actually stops at the next
-                // epoch instead of burning a core to produce a discarded
-                // result.
-                job.cancel.cancel();
+            Err(_) if timed_out => {
                 shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
                 let msg = format!(
@@ -316,70 +295,39 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 job.mark_failed(msg);
             }
+            Err(e) if job.cancel.is_cancelled() => {
+                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+                if shared.cfg.verbose {
+                    eprintln!("[serve] {} {} CANCELLED: {e}", job.id, job.spec.label());
+                }
+                job.mark_cancelled(e);
+            }
+            Err(e) => {
+                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                if shared.cfg.verbose {
+                    eprintln!("[serve] {} {} FAILED: {e}", job.id, job.spec.label());
+                }
+                job.mark_failed(e);
+            }
         }
         shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
         shared.queue.finished(&job);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let response = match read_request(&mut stream) {
-        Ok(req) => {
-            let (path, deprecated) = canonical_path(&req.path);
-            // The progress stream writes its own (chunked) response and
-            // holds the connection open, so it bypasses `route`.
-            if req.method == "GET" {
-                if let Some(id) = path
-                    .strip_prefix("/v1/jobs/")
-                    .and_then(|rest| rest.strip_suffix("/progress"))
-                {
-                    if shared.cfg.verbose {
-                        eprintln!("[serve] {peer} GET {} -> stream", req.path);
-                    }
-                    stream_progress(id, &mut stream, shared, deprecated);
-                    return;
-                }
-            }
-            let resp = route(&req, &path, shared);
-            let resp = if deprecated {
-                resp.header("Deprecation", "true")
-            } else {
-                resp
-            };
-            if shared.cfg.verbose {
-                eprintln!(
-                    "[serve] {peer} {} {} -> {}",
-                    req.method, req.path, resp.status
-                );
-            }
-            resp
-        }
-        Err(ParseError::ConnectionClosed) => return,
-        Err(ParseError::TooLarge) => error_response(
-            413,
-            "payload-too-large",
-            "request head or body exceeds the size limits",
-        ),
-        Err(ParseError::Malformed(e)) => {
-            error_response(400, "malformed-request", &format!("malformed request: {e}"))
-        }
-        Err(ParseError::Io(_)) => return,
-    };
-    let _ = response.write_to(&mut stream);
-}
-
-/// Dispatch one parsed request. `path` is the canonical `/v1/...` spelling
-/// (legacy aliases have already been rewritten by [`canonical_path`]).
-fn route(req: &Request, path: &str, shared: &Arc<Shared>) -> Response {
-    match (req.method.as_str(), path) {
+/// The serve loop's handler; the progress stream writes its own chunked
+/// response, so it returns `None`.
+fn route(req: &Request, stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Response> {
+    if let Some(id) = progress_job_id(req) {
+        return stream_progress(id, stream, shared);
+    }
+    Some(match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/jobs") => post_jobs(req, shared),
         ("POST", "/v1/jobs/batch") => post_batch(req, shared),
         ("GET", p) if p.starts_with("/v1/jobs/") => get_job(&p["/v1/jobs/".len()..], shared),
         ("DELETE", p) if p.starts_with("/v1/jobs/") => delete_job(&p["/v1/jobs/".len()..], shared),
         ("GET", "/v1/healthz") => {
-            if shared.shutting_down() {
+            if shared.listener.is_stopped() {
                 error_response(503, "draining", "server is draining")
             } else {
                 Response::text(200, "ok")
@@ -387,19 +335,11 @@ fn route(req: &Request, path: &str, shared: &Arc<Shared>) -> Response {
         }
         ("GET", "/v1/metrics") => Response::text(200, &shared.metrics.render(shared.queue.depth())),
         ("POST", "/v1/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.begin_shutdown();
+            shared.shutdown();
             Response::text(200, "draining")
         }
-        ("GET" | "POST" | "DELETE", _) => {
-            error_response(404, "not-found", &format!("no route for {path}"))
-        }
-        _ => error_response(
-            405,
-            "method-not-allowed",
-            &format!("method {} is not supported", req.method),
-        ),
-    }
+        _ => no_route(req),
+    })
 }
 
 /// JSON body for one job's state.
@@ -533,7 +473,10 @@ fn post_jobs(req: &Request, shared: &Arc<Shared>) -> Response {
     if req.query_param("wait").is_some_and(|v| v != "0") {
         // Block until completion, bounded by the job watchdog plus slack so
         // a timed-out job still reports `failed` rather than hanging us.
-        let slack = shared.cfg.job_timeout + Duration::from_secs(30);
+        let slack = shared
+            .cfg
+            .job_timeout
+            .saturating_add(Duration::from_secs(30));
         if !job.wait(slack) {
             return error_response(408, "wait-timeout", "timed out waiting for the job");
         }
@@ -740,48 +683,32 @@ fn delete_job(id: &str, shared: &Arc<Shared>) -> Response {
     )
 }
 
-/// `GET /jobs/<id>/progress`: stream the job's live time series as chunked
-/// NDJSON. Each line is a [`ProgressSnapshot`]; the final line additionally
-/// carries `status` (and `error`, if any) plus the complete series, so a
-/// client that only reads the last line still gets everything.
-fn stream_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>, deprecated: bool) {
-    let extra: &[(&str, &str)] = if deprecated {
-        &[("Deprecation", "true")]
-    } else {
-        &[]
-    };
-    let decorate = |resp: Response| {
-        if deprecated {
-            resp.header("Deprecation", "true")
-        } else {
-            resp
-        }
-    };
+/// `GET /v1/jobs/<id>/progress`: stream the job's live time series as
+/// chunked NDJSON. Each line is a [`ProgressSnapshot`]; the final line
+/// additionally carries `status` (and `error`, if any) plus the complete
+/// series, so a client that only reads the last line still gets everything.
+/// The final line goes out as soon as the job ends; intermediate ones at
+/// most every 25 ms, since each re-serializes the whole series.
+fn stream_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Response> {
     let job = match shared.queue.lookup(id, &shared.cache) {
-        Lookup::Live(job) => job,
-        Lookup::Cached(..) => {
-            // Evicted or prior-process results: one terminal line from the
-            // disk cache (the live series is gone, but the terminal state is
-            // not) — same lookup path as `GET /v1/jobs/<id>`.
-            let snap = ProgressSnapshot {
-                finished: true,
-                ..ProgressSnapshot::default()
-            };
-            let _ = send_final_line(stream, &snap, JobStatus::Done, None, extra);
-            return;
-        }
-        Lookup::BadId => {
-            let _ = decorate(bad_job_id()).write_to(stream);
-            return;
-        }
-        Lookup::Missing => {
-            let _ = decorate(unknown_job(id)).write_to(stream);
-            return;
-        }
+        Lookup::Live(job) => Some(job),
+        // Evicted or prior-process results: one terminal line from the disk
+        // cache (the live series is gone, but the terminal state is not) —
+        // same lookup path as `GET /v1/jobs/<id>`.
+        Lookup::Cached(..) => None,
+        Lookup::BadId => return Some(bad_job_id()),
+        Lookup::Missing => return Some(unknown_job(id)),
     };
 
-    let Ok(mut w) = ChunkedWriter::start_with(stream, 200, "application/x-ndjson", extra) else {
-        return;
+    let mut w = ChunkedWriter::start(stream, 200, "application/x-ndjson").ok()?;
+    let Some(job) = job else {
+        let snap = ProgressSnapshot {
+            finished: true,
+            ..ProgressSnapshot::default()
+        };
+        let _ = w.chunk(final_line(&snap, JobStatus::Done, None).as_bytes());
+        let _ = w.finish();
+        return None;
     };
     let mut last_seq = 0u64;
     loop {
@@ -791,42 +718,24 @@ fn stream_progress(id: &str, stream: &mut TcpStream, shared: &Arc<Shared>, depre
         let (status, _, error) = job.snapshot();
         let snap = job.progress.snapshot();
         if status.is_terminal() && snap.finished {
-            let mut fields = match snap.to_json() {
-                Value::Obj(f) => f,
-                _ => unreachable!("snapshot JSON is an object"),
-            };
-            fields.push(("status".into(), json::s(status.as_str())));
-            if let Some(e) = &error {
-                fields.push(("error".into(), json::s(e)));
-            }
-            let mut line = Value::Obj(fields).to_json();
-            line.push('\n');
-            let _ = w.chunk(line.as_bytes());
+            let _ = w.chunk(final_line(&snap, status, error.as_deref()).as_bytes());
             let _ = w.finish();
-            return;
+            return None;
         }
         if snap.seq != last_seq {
             last_seq = snap.seq;
             let mut line = snap.to_json().to_json();
             line.push('\n');
-            if w.chunk(line.as_bytes()).is_err() {
-                return; // client went away
-            }
+            // An error means the client went away.
+            w.chunk(line.as_bytes()).ok()?;
         }
-        std::thread::sleep(Duration::from_millis(25));
+        job.wait(Duration::from_millis(25));
     }
 }
 
-/// Write a complete single-line chunked stream: head, one final NDJSON line
-/// (snapshot + status), terminator.
-fn send_final_line(
-    stream: &mut TcpStream,
-    snap: &ProgressSnapshot,
-    status: JobStatus,
-    error: Option<&str>,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    let mut w = ChunkedWriter::start_with(stream, 200, "application/x-ndjson", extra_headers)?;
+/// The last NDJSON line of a progress stream: the snapshot plus the job's
+/// terminal `status` (and `error`, if any).
+fn final_line(snap: &ProgressSnapshot, status: JobStatus, error: Option<&str>) -> String {
     let mut fields = match snap.to_json() {
         Value::Obj(f) => f,
         _ => unreachable!("snapshot JSON is an object"),
@@ -837,6 +746,5 @@ fn send_final_line(
     }
     let mut line = Value::Obj(fields).to_json();
     line.push('\n');
-    w.chunk(line.as_bytes())?;
-    w.finish()
+    line
 }

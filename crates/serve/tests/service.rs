@@ -203,7 +203,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
     }
     // Third distinct spec: queue is at cap.
     let body = specs[2].to_json().to_json();
-    let resp = r2d2_serve::http::client_request(&addr, "POST", "/jobs", Some(&body), T).unwrap();
+    let resp = r2d2_serve::http::client_request(&addr, "POST", "/v1/jobs", Some(&body), T).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.body);
     assert_eq!(resp.header("retry-after"), Some("1"));
     // The typed client surfaces the backoff hint.
@@ -229,7 +229,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
 fn bad_submissions_are_rejected_with_400() {
     let (addr, handle, join, results) = start("badreq", 1, 4);
     let post = |body: &str| {
-        r2d2_serve::http::client_request(&addr, "POST", "/jobs", Some(body), T)
+        r2d2_serve::http::client_request(&addr, "POST", "/v1/jobs", Some(body), T)
             .unwrap()
             .status
     };
@@ -247,9 +247,9 @@ fn bad_submissions_are_rejected_with_400() {
         "unknown size"
     );
     // Unknown paths and methods.
-    let r = r2d2_serve::http::client_request(&addr, "GET", "/nope", None, T).unwrap();
+    let r = r2d2_serve::http::client_request(&addr, "GET", "/v1/nope", None, T).unwrap();
     assert_eq!(r.status, 404);
-    let r = r2d2_serve::http::client_request(&addr, "PUT", "/jobs", None, T).unwrap();
+    let r = r2d2_serve::http::client_request(&addr, "PUT", "/v1/jobs", None, T).unwrap();
     assert_eq!(r.status, 405);
     stop(&handle, join);
     let _ = std::fs::remove_dir_all(&results);
@@ -391,7 +391,8 @@ fn batch_with_duplicate_specs_simulates_each_distinct_spec_once() {
     assert_eq!(o.body.get("count").and_then(|v| v.as_u64()), Some(4));
     // Unknown sets and garbage bodies are 400s.
     assert_eq!(client::submit_set(&addr, "fig99", T).unwrap().status, 400);
-    let r = r2d2_serve::http::client_request(&addr, "POST", "/jobs/batch", Some("[]"), T).unwrap();
+    let r =
+        r2d2_serve::http::client_request(&addr, "POST", "/v1/jobs/batch", Some("[]"), T).unwrap();
     assert_eq!(r.status, 400, "empty batch");
 
     stop(&handle, join);
@@ -582,56 +583,68 @@ fn every_4xx_5xx_carries_the_unified_error_schema() {
 }
 
 #[test]
-fn legacy_paths_answer_with_a_deprecation_header_v1_does_not() {
-    let (addr, handle, join, results) = start("deprecation", 0, 8);
-    let req = |method: &str, path: &str, body: Option<&str>| {
-        r2d2_serve::http::client_request(&addr, method, path, body, T).unwrap()
-    };
-
-    // Aliased paths behave identically but are marked deprecated.
-    let legacy = req("GET", "/healthz", None);
-    assert_eq!(
-        (legacy.status, legacy.header("deprecation")),
-        (200, Some("true"))
-    );
-    let v1 = req("GET", "/v1/healthz", None);
-    assert_eq!((v1.status, v1.header("deprecation")), (200, None));
-
+fn unprefixed_paths_answer_404_not_found() {
+    let (addr, handle, join, results) = start("unprefixed", 0, 8);
     let spec = JobSpec::new("NN", Size::Small, ModelSpec::Baseline);
     let body = spec.to_json().to_json();
-    let legacy = req("POST", "/jobs", Some(&body));
-    assert_eq!(legacy.status, 202, "{}", legacy.body);
-    assert_eq!(legacy.header("deprecation"), Some("true"));
-    // Same spec through /v1 coalesces (proving both spellings share one
-    // queue) and carries no marker.
-    let v1 = req("POST", "/v1/jobs", Some(&body));
-    assert_eq!(v1.status, 200, "{}", v1.body);
-    assert_eq!(v1.header("deprecation"), None);
-
-    // Error responses are marked too.
-    let legacy = req("GET", "/jobs/nope", None);
-    assert_eq!(
-        (legacy.status, legacy.header("deprecation")),
-        (400, Some("true"))
-    );
-
-    // And the chunked streaming path carries the marker in its head.
-    // Cancel the queued job first so the stream terminates (no workers).
     let id = spec.hash_hex();
-    assert_eq!(client::cancel(&addr, &id, T).unwrap().status, 200);
-    let (status, headers) = r2d2_serve::http::client_stream(
-        &addr,
-        "GET",
-        &format!("/jobs/{id}/progress"),
-        T,
-        &mut |_| Ok(()),
-    )
-    .unwrap();
-    assert_eq!(status, 200);
-    let deprecated = headers
-        .iter()
-        .any(|(k, v)| k == "deprecation" && v == "true");
-    assert!(deprecated, "stream head missing Deprecation: {headers:?}");
+    for (method, path) in [
+        ("GET", "/healthz".to_string()),
+        ("GET", "/metrics".to_string()),
+        ("POST", "/jobs".to_string()),
+        ("POST", "/jobs/batch".to_string()),
+        ("GET", format!("/jobs/{id}")),
+        ("DELETE", format!("/jobs/{id}")),
+        ("GET", format!("/jobs/{id}/progress")),
+        ("POST", "/shutdown".to_string()),
+    ] {
+        let resp = r2d2_serve::http::client_request(&addr, method, &path, Some(&body), T).unwrap();
+        assert_error_code(&resp, 404, "not-found");
+    }
+    // Nothing was queued and the unprefixed shutdown did not drain.
+    assert_eq!(metric(&addr, "jobs_submitted_total"), 0);
+    let (code, body) = client::healthz(&addr, T).unwrap();
+    assert_eq!((code, body.as_str()), (200, "ok"));
+
+    stop(&handle, join);
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+#[test]
+fn watchdog_fails_an_overrunning_job_and_frees_its_worker() {
+    let results = tmpdir("watchdog");
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_cap: 8,
+        job_timeout: Duration::from_millis(50),
+        use_cache: true,
+        retain_completed: r2d2_serve::queue::RETAIN_COMPLETED,
+        results_dir: Some(results.clone()),
+        verbose: false,
+    };
+    let server = Server::bind(cfg).expect("bind loopback");
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    // A full-size job runs for seconds, far past the 50 ms deadline.
+    let slow = JobSpec::new("MVT", Size::Full, ModelSpec::Baseline);
+    let o = client::submit(&addr, &slow, true, T).unwrap();
+    assert_eq!(o.status, 200, "{:?}", o.body);
+    assert_eq!(o.job_status(), Some("failed"), "{:?}", o.body);
+    let error = o.body.get("error").and_then(|v| v.as_str()).unwrap_or("");
+    assert!(error.contains("per-job watchdog"), "{error}");
+    assert_eq!(metric(&addr, "job_timeouts_total"), 1);
+    let cache = Cache::at(&results.join("cache"));
+    assert!(cache.load(&slow).is_none(), "a timed-out run was cached");
+
+    // The one worker is free again: a job well inside the deadline
+    // completes on it.
+    let quick = JobSpec::new("vecadd", Size::Small, ModelSpec::Baseline);
+    let o = client::submit(&addr, &quick, true, T).unwrap();
+    assert_eq!(o.job_status(), Some("done"), "{:?}", o.body);
+    assert_eq!(metric(&addr, "jobs_simulated_total"), 1);
 
     stop(&handle, join);
     let _ = std::fs::remove_dir_all(&results);

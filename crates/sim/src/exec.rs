@@ -292,6 +292,11 @@ pub enum ExecError {
         /// the limit.
         limit: u64,
     },
+    /// A functional run's [`crate::CancelToken`] was triggered.
+    Cancelled {
+        /// Linear id of the thread block that did not start.
+        block: u64,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -303,6 +308,7 @@ impl std::fmt::Display for ExecError {
                     "warp exceeded {limit} dynamic instructions at pc {pc} (infinite loop?)"
                 )
             }
+            ExecError::Cancelled { block } => write!(f, "cancelled before block {block}"),
         }
     }
 }

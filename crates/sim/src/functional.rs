@@ -9,6 +9,7 @@ use crate::exec::{ExecError, MemInfo, OperandVals, Outcome, StepInfo, WarpExec, 
 use crate::launch::Launch;
 use crate::linear::{LinearStore, Phase};
 use crate::mem::GlobalMem;
+use crate::timing::CancelToken;
 use r2d2_isa::{Cfg, Instr, Kernel, Op};
 
 /// One dynamic warp instruction, as seen by an [`Observer`].
@@ -187,7 +188,24 @@ pub fn run(
     launch: &Launch,
     gmem: &mut GlobalMem,
     watchdog: u64,
+    obs: Option<&mut dyn Observer>,
+) -> Result<FuncStats, ExecError> {
+    run_cancellable(launch, gmem, watchdog, obs, None)
+}
+
+/// [`run`] that checks `cancel` before each thread block (never per
+/// instruction), so a long functional run stops mid-launch.
+///
+/// # Errors
+///
+/// [`ExecError::Cancelled`] once the token is triggered, and
+/// [`ExecError::Watchdog`] as for [`run`].
+pub fn run_cancellable(
+    launch: &Launch,
+    gmem: &mut GlobalMem,
+    watchdog: u64,
     mut obs: Option<&mut dyn Observer>,
+    cancel: Option<&CancelToken>,
 ) -> Result<FuncStats, ExecError> {
     let kernel = &launch.kernel;
     let cfg = Cfg::build(kernel);
@@ -203,6 +221,9 @@ pub fn run(
     let nregs = kernel.num_regs();
     let npreds = kernel.num_preds().max(1);
     for blk in 0..launch.num_blocks() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(ExecError::Cancelled { block: blk });
+        }
         let ctaid = launch.grid.unflatten(blk);
         let mut warps: Vec<WarpState> = (0..wpb)
             .map(|wib| WarpState::new(nregs, npreds, blk, ctaid, wib, tpb, 0))

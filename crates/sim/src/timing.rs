@@ -65,6 +65,7 @@ use shard::run_sharded;
 /// evaluated — the head of both single-threaded loops and every epoch
 /// boundary of the sharded loop — so a cancelled run stops within one epoch
 /// and returns [`SimError::Cancelled`] instead of running to completion.
+/// [`crate::functional::run_cancellable`] polls it before each thread block.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -2182,6 +2183,41 @@ mod tests {
                 "{kind:?}/t{threads}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn cancelled_token_aborts_the_functional_run_between_blocks() {
+        /// Triggers the token once block `.1` has completed.
+        struct CancelAfter<'a>(&'a CancelToken, u64);
+        impl crate::functional::Observer for CancelAfter<'_> {
+            fn on_instr(&mut self, _: &crate::functional::InstrEvent<'_>) {}
+            fn on_block_done(&mut self, block: u64) {
+                if block == self.1 {
+                    self.0.cancel();
+                }
+            }
+        }
+        fn run_with(
+            k: &Kernel,
+            obs: Option<&mut dyn crate::functional::Observer>,
+            token: Option<&CancelToken>,
+        ) -> (Result<crate::FuncStats, ExecError>, Vec<u8>) {
+            let mut g = GlobalMem::new();
+            let out = g.alloc(16 * 128 * 4);
+            let launch = Launch::new(k.clone(), Dim3::d1(16), Dim3::d1(128), vec![out]);
+            let r = crate::functional::run_cancellable(&launch, &mut g, 1_000_000, obs, token);
+            (r, g.bytes().to_vec())
+        }
+        let k = iota_kernel();
+        let token = CancelToken::new();
+        assert_eq!(
+            run_with(&k, None, Some(&token)),
+            run_with(&k, None, None),
+            "an armed but untriggered token must not perturb the run"
+        );
+        // Triggered mid-launch, the run stops before the next block.
+        let (r, _) = run_with(&k, Some(&mut CancelAfter(&token, 2)), Some(&token));
+        assert_eq!(r, Err(ExecError::Cancelled { block: 3 }));
     }
 
     #[test]

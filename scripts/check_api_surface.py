@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Fail CI if the HTTP surface drifts out of the frozen /v1 contract.
 
-The wire API is versioned: every endpoint lives under `/v1`, and the only
-sanctioned way to answer an unprefixed (pre-v1) spelling is the
-`canonical_path` alias rewrite in `crates/serve/src/api.rs`, which tags the
-response `Deprecation: true`. This script statically checks that contract:
+The wire API is versioned: every endpoint lives under `/v1`, and an
+unprefixed (pre-v1) spelling answers `404 not-found` on both tiers. This
+script statically checks that contract:
 
   1. The `ENDPOINTS` inventory in api.rs is non-empty and all-`/v1`.
   2. Every inventoried endpoint is actually routed by the serve server
-     (and, minus the alias machinery, by the dispatch server).
+     and by the dispatch server.
   3. No route match-arm or client call in serve/dispatch/client source
      mentions an endpoint path outside `/v1` — i.e. nobody hand-registers
-     an unversioned handler that would bypass the deprecation mechanism.
-  4. The alias mechanism itself is still wired: serve's connection handler
-     calls `canonical_path` and emits the `Deprecation` header.
+     an unversioned handler.
+  4. Serve routes no unprefixed path either: nothing in the serve or
+     dispatch request path rewrites a request path onto `/v1` or marks a
+     response `Deprecation`, so an unprefixed path reaches the router as
+     is and falls through to 404.
 
 Run from the repo root: `python3 scripts/check_api_surface.py`.
 """
@@ -87,14 +88,17 @@ for src in SOURCES:
                 f"outside /v1 — aliases must go through canonical_path"
             )
 
-# -- 4. The deprecation mechanism is still wired ------------------------------
+# -- 4. No unprefixed path is routed ------------------------------------------
 
-if "pub fn canonical_path" not in api_text:
-    fail("api.rs lost canonical_path — the deprecated-alias rewrite is gone")
-if "canonical_path(" not in serve_text:
-    fail("serve server.rs no longer routes through canonical_path")
-if "Deprecation" not in serve_text:
-    fail("serve server.rs no longer emits the Deprecation header for aliases")
+REQUEST_PATH = SOURCES + [REPO / "crates/serve/src/http.rs", API]
+rewrite_pat = re.compile(r'format!\(\s*"/v1\{')
+for src in REQUEST_PATH:
+    for lineno, line in enumerate(strip_comments(src.read_text()).splitlines(), 1):
+        where = f"{src.relative_to(REPO)}:{lineno}"
+        if "canonical_path" in line or rewrite_pat.search(line):
+            fail(f"{where}: request paths are rewritten onto /v1 — aliases are gone")
+        if "Deprecation" in line:
+            fail(f"{where}: emits a Deprecation marker — aliases are gone")
 
 if errors:
     print("API surface check FAILED:", file=sys.stderr)
@@ -104,5 +108,5 @@ if errors:
 
 print(
     f"API surface check OK: {len(endpoints)} endpoints, all under /v1; "
-    f"alias mechanism intact"
+    f"no unprefixed routes"
 )
