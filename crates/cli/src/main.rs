@@ -16,7 +16,7 @@
 //!     --threads N           shard the timing loop across N worker threads
 //!                           (default 1; results are bit-identical)
 //! r2d2 workload <NAME> [--model M] [--full]
-//!     run one zoo workload under a machine model
+//!     run one workload under a machine model and print its stats
 //!     (M: baseline | dac | darsie | darsie-scalar | r2d2; default baseline)
 //! r2d2 profile <workload> <model> [options]
 //!     run one workload with the stall-attribution profiler attached and
@@ -74,14 +74,11 @@
 //! `sweep` shares its job sets — and therefore its content-addressed cache
 //! under `results/cache/` — with the `cargo bench` figure targets.
 
-use r2d2_baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
 use r2d2_core::analyzer::analyze;
 use r2d2_core::transform::{make_launch, transform};
 use r2d2_energy::EnergyModel;
 use r2d2_isa::parse_kernel;
-use r2d2_sim::{
-    BaselineFilter, Dim3, GlobalMem, GpuConfig, IssueFilter, Launch, LoopKind, SimSession, Stats,
-};
+use r2d2_sim::{Dim3, GlobalMem, GpuConfig, Launch, LoopKind, SimSession, Stats};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -104,7 +101,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: r2d2 <list|analyze|transform|run|trace|workload|profile|sweep|serve|dispatch|submit|cancel|watch> ..."
             );
-            eprintln!("see `r2d2-cli` crate docs for options");
+            eprintln!("options: see the header comment of crates/cli/src/main.rs");
             return ExitCode::from(2);
         }
     };
@@ -356,18 +353,11 @@ fn cmd_trace(args: &[String]) -> CliResult {
 }
 
 fn cmd_profile(args: &[String]) -> CliResult {
-    use r2d2_harness::{execute_with_profiler, write_profile_artifacts_in, JobSpec, ModelSpec};
+    use r2d2_harness::{execute_with_profiler, write_profile_artifacts_in, JobSpec};
     use r2d2_sim::{Profiler, StallCause};
 
     let workload = args.first().ok_or("missing workload id")?.clone();
-    let model = match args.get(1).map(String::as_str) {
-        Some("baseline") => ModelSpec::Baseline,
-        Some("dac") => ModelSpec::Dac,
-        Some("darsie") => ModelSpec::Darsie,
-        Some("darsie-scalar") | Some("darsie_scalar") => ModelSpec::DarsieScalar,
-        Some("r2d2") => ModelSpec::R2d2,
-        _ => return Err("model must be baseline|dac|darsie|darsie-scalar|r2d2".into()),
-    };
+    let model = timed_model(args.get(1).ok_or("missing model")?)?;
     let mut buckets = r2d2_sim::trace::DEFAULT_TARGET_BUCKETS;
     let mut out: Option<std::path::PathBuf> = None;
     let mut size = r2d2_workloads::Size::Small;
@@ -812,16 +802,18 @@ fn cmd_watch(args: &[String]) -> CliResult {
 }
 
 fn cmd_workload(args: &[String]) -> CliResult {
+    use r2d2_harness::{execute, JobSpec, ModelSpec};
+
     let name = args
         .first()
         .ok_or("missing workload name (try `r2d2 list`)")?;
-    let mut model = "baseline".to_string();
+    let mut model = ModelSpec::Baseline;
     let mut size = r2d2_workloads::Size::Small;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--model" => {
-                model = args.get(i + 1).ok_or("--model needs a value")?.clone();
+                model = timed_model(args.get(i + 1).ok_or("--model needs a value")?)?;
                 i += 1;
             }
             "--full" => size = r2d2_workloads::Size::Full,
@@ -829,33 +821,19 @@ fn cmd_workload(args: &[String]) -> CliResult {
         }
         i += 1;
     }
-    let w = r2d2_workloads::build(name, size).ok_or("unknown workload (try `r2d2 list`)")?;
-    let cfg = GpuConfig::default();
-    let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
-    for l in &w.launches {
-        let s = match model.as_str() {
-            "r2d2" => {
-                let (launch, _) = make_launch(&cfg, &l.kernel, l.grid, l.block, l.params.clone());
-                SimSession::new(&cfg).run(&launch, &mut g)?
-            }
-            m => {
-                let mut f: Box<dyn IssueFilter> = match m {
-                    "baseline" => Box::new(BaselineFilter),
-                    "dac" => Box::new(DacFilter::new()),
-                    "darsie" => Box::new(DarsieFilter::new()),
-                    "darsie-scalar" => Box::new(DarsieScalarFilter::new()),
-                    _ => return Err("model must be baseline|dac|darsie|darsie-scalar|r2d2".into()),
-                };
-                SimSession::new(&cfg).filter(f.as_mut()).run(l, &mut g)?
-            }
-        };
-        stats.merge_sequential(&s);
-    }
-    println!(
-        "workload {name} under {model} ({} launches):\n",
-        w.launches.len()
-    );
-    print_stats(&stats);
+    let rec = execute(&JobSpec::new(name, size, model))?;
+    println!("workload {name} under {}:\n", model.name());
+    print_stats(&rec.stats);
     Ok(())
+}
+
+/// Parse a model that runs the timing simulator: `ideals` only counts
+/// instructions, so it has no cycles or stall attribution to report.
+fn timed_model(name: &str) -> Result<r2d2_harness::ModelSpec, String> {
+    match name.parse()? {
+        r2d2_harness::ModelSpec::Ideals => {
+            Err("model ideals has no timing run (see `r2d2 sweep run fig04`)".into())
+        }
+        model => Ok(model),
+    }
 }

@@ -151,19 +151,53 @@ fn run_r2d2_reports_transformed_launch() {
     assert!(text.contains("R2D2-transformed"), "{text}");
 }
 
+/// The value printed on `r2d2 workload`'s line starting with `label`.
+fn printed(text: &str, label: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(label))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {label:?} line in:\n{text}"))
+}
+
 #[test]
 fn workload_subcommand_runs() {
-    let out = bin()
-        .args(["workload", "NN", "--model", "r2d2"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("energy:"));
+    use r2d2_harness::{execute, JobSpec, ModelSpec};
+    for (name, model) in [("dac", ModelSpec::Dac), ("r2d2", ModelSpec::R2d2)] {
+        let out = bin()
+            .args(["workload", "NN", "--model", name])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("energy:"));
+        let want = execute(&JobSpec::new("NN", r2d2_workloads::Size::Small, model))
+            .unwrap()
+            .stats;
+        assert_eq!(printed(&text, "cycles:"), want.cycles, "{name}");
+        assert_eq!(
+            printed(&text, "warp instructions:"),
+            want.warp_instrs,
+            "{name}"
+        );
+    }
+    // Ideals counts instructions without timing them, so there is nothing
+    // to print; an unknown model is a usage error.
+    for model in ["ideals", "warp-drive"] {
+        let out = bin()
+            .args(["workload", "NN", "--model", model])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--model {model}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("error:"),
+            "--model {model}"
+        );
+    }
 }
 
 #[test]

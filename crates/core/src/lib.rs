@@ -14,8 +14,6 @@
 //!   and produces the 16-entry register table (Sec. 3.3).
 //! * [`mod@transform`] — the end-to-end `Kernel -> R2d2Kernel` pipeline plus the
 //!   Sec. 4.4 register-pressure fallback gate.
-//! * [`machine`] — convenience runners that execute original and transformed
-//!   kernels on the `r2d2-sim` substrate and return comparable statistics.
 //!
 //! # Example
 //!
@@ -43,10 +41,8 @@
 
 pub mod analyzer;
 pub mod generator;
-pub mod machine;
 pub mod transform;
 
 pub use analyzer::{Analysis, RegInfo};
 pub use generator::{GenOptions, GenOutput};
-pub use machine::{run_baseline, run_with_filter, RunResult};
 pub use transform::{transform, transform_with, R2d2Kernel, TransformReport};

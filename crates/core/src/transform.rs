@@ -82,31 +82,40 @@ pub fn make_launch(
     block: Dim3,
     params: Vec<u64>,
 ) -> (Launch, bool) {
-    let r2 = transform(kernel);
+    let original = Launch::new(kernel.clone(), grid, block, params);
+    match gate(cfg, &original, transform(kernel)) {
+        Some(launch) => (launch, true),
+        None => (original, false),
+    }
+}
+
+/// The Sec. 4.4 register-pressure gate: the launch of `r2` (the transform
+/// of `original`'s kernel, under any [`GenOptions`]) in place of
+/// `original`, or `None` when `r2` decoupled nothing or its linear
+/// registers would lower occupancy. On `None` the host runs `original`.
+pub fn gate(cfg: &GpuConfig, original: &Launch, r2: R2d2Kernel) -> Option<Launch> {
     if !r2.meta.has_linear() {
-        return (Launch::new(kernel.clone(), grid, block, params), false);
+        return None;
     }
-    let base_launch = Launch::new(kernel.clone(), grid, block, params.clone());
-    let base_regs = phys_regs_estimate(kernel, &Cfg::build(kernel));
-    let base_occ = blocks_per_sm(cfg, &base_launch, base_regs);
-
-    let mut r2_launch = Launch::new(r2.kernel.clone(), grid, block, params);
-    r2_launch.meta = Some(r2.meta.clone());
-    let r2_regs = phys_regs_estimate(&r2.kernel, &Cfg::build(&r2.kernel));
-    let r2_occ = blocks_per_sm(cfg, &r2_launch, r2_regs);
-
-    if r2_occ < base_occ {
-        (base_launch, false)
-    } else {
-        (r2_launch, true)
-    }
+    let occupancy = |l: &Launch| {
+        let regs = phys_regs_estimate(&l.kernel, &Cfg::build(&l.kernel));
+        blocks_per_sm(cfg, l, regs)
+    };
+    let launch = Launch {
+        kernel: r2.kernel,
+        params: original.params.clone(),
+        meta: Some(r2.meta),
+        ..*original
+    };
+    (occupancy(&launch) >= occupancy(original)).then_some(launch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r2d2_isa::{KernelBuilder, Ty};
-    use r2d2_sim::{functional, GlobalMem};
+    use r2d2_energy::EnergyModel;
+    use r2d2_isa::{KernelBuilder, Operand, Ty};
+    use r2d2_sim::{functional, GlobalMem, SimSession, Stats};
 
     fn saxpy() -> Kernel {
         let mut b = KernelBuilder::new("saxpy", 3);
@@ -209,5 +218,171 @@ mod tests {
         let (launch, used) = make_launch(&cfg, &k, Dim3::d1(4), Dim3::d1(128), vec![0, 0, 1]);
         assert!(used);
         assert!(launch.meta.is_some());
+    }
+
+    /// Keeps 32 loaded values live at once and recomputes the store address
+    /// afterwards, so its register-pressure peak is all loaded (non-linear)
+    /// values: the transform cannot lower it, and the thread-index registers
+    /// it adds come on top.
+    fn all_values_live() -> Kernel {
+        let mut b = KernelBuilder::new("all_live", 1);
+        let i = b.global_tid_x();
+        let off = b.shl_imm_wide(i, 2);
+        let p = b.ld_param(0);
+        let a = b.add_wide(p, off);
+        let vals: Vec<_> = (0..32).map(|k| b.ld_global(Ty::F32, a, k * 8192)).collect();
+        let sum = vals[1..]
+            .iter()
+            .fold(vals[0], |acc, &v| b.add_ty(Ty::F32, acc, v));
+        let i = b.global_tid_x();
+        let off = b.shl_imm_wide(i, 2);
+        let p = b.ld_param(0);
+        let a = b.add_wide(p, off);
+        b.st_global(Ty::F32, a, 0, sum);
+        b.build()
+    }
+
+    #[test]
+    fn make_launch_falls_back_when_linear_registers_lower_occupancy() {
+        // 1024-thread blocks at 32 live registers fill the 64K-register file
+        // with exactly two blocks; the transform keeps the 32 and adds its
+        // thread-index registers, which leaves room for one.
+        let k = all_values_live();
+        let cfg = GpuConfig::default();
+        let (grid, block) = (Dim3::d1(2), Dim3::d1(1024));
+        let r2 = transform(&k);
+        assert!(r2.meta.has_linear(), "address math must be decoupled");
+        assert!(r2.meta.n_tr > 0);
+        let mut fits = Launch::new(r2.kernel.clone(), grid, block, vec![0]);
+        fits.meta = Some(r2.meta);
+        let regs = |k: &Kernel| phys_regs_estimate(k, &Cfg::build(k));
+        assert_eq!(regs(&k), 32);
+        assert_eq!(regs(&r2.kernel), 32);
+        assert_eq!(
+            blocks_per_sm(&cfg, &Launch::new(k.clone(), grid, block, vec![0]), 32),
+            2
+        );
+        assert_eq!(blocks_per_sm(&cfg, &fits, 32), 1);
+
+        let (launch, used) = make_launch(&cfg, &k, grid, block, vec![0]);
+        assert!(!used, "the transformed kernel would lower occupancy");
+        assert!(launch.meta.is_none());
+        assert_eq!(
+            launch.kernel.instrs, k.instrs,
+            "the original kernel launches"
+        );
+    }
+
+    fn streaming_kernel() -> Kernel {
+        // out[i] = a * in[i] + b with full linear address generation.
+        let mut b = KernelBuilder::new("stream", 4);
+        let i = b.global_tid_x();
+        let off = b.shl_imm_wide(i, 2);
+        let pin = b.ld_param(0);
+        let pout = b.ld_param(1);
+        let ain = b.add_wide(pin, off);
+        let aout = b.add_wide(pout, off);
+        let v = b.ld_global(Ty::F32, ain, 0);
+        let a = b.ld_param(2);
+        let af = b.cvt(Ty::F32, a);
+        let c = b.ld_param(3);
+        let cf = b.cvt(Ty::F32, c);
+        let r = b.mad_ty(Ty::F32, af, v, cf);
+        b.st_global(Ty::F32, aout, 0, r);
+        b.build()
+    }
+
+    /// Runs `launch` on the timing simulator, returning its stats and energy.
+    fn timed(cfg: &GpuConfig, launch: &Launch, g: &mut GlobalMem) -> (Stats, f64) {
+        let stats = SimSession::new(cfg).run(launch, g).unwrap();
+        let energy = EnergyModel::volta().breakdown(&stats.events).total_pj();
+        (stats, energy)
+    }
+
+    #[test]
+    fn r2d2_cuts_instructions_and_energy_on_streaming_kernel() {
+        // Memory-bound: the paper's SPM case — big instruction reduction,
+        // modest cycle change (DRAM bandwidth dominates end-to-end time).
+        let k = streaming_kernel();
+        let cfg = GpuConfig::default().with_num_sms(8);
+        let grid = Dim3::d1(128);
+        let block = Dim3::d1(256);
+        let n = 128 * 256u64;
+
+        let mut g1 = GlobalMem::new();
+        let i1 = g1.alloc(n * 4);
+        let o1 = g1.alloc(n * 4);
+        for i in 0..n {
+            g1.write_f32(i1, i, i as f32);
+        }
+        let l1 = Launch::new(k.clone(), grid, block, vec![i1, o1, 3, 7]);
+        let (base, base_e) = timed(&cfg, &l1, &mut g1);
+
+        let mut g2 = GlobalMem::new();
+        let i2 = g2.alloc(n * 4);
+        let o2 = g2.alloc(n * 4);
+        for i in 0..n {
+            g2.write_f32(i2, i, i as f32);
+        }
+        let (l2, used) = make_launch(&cfg, &k, grid, block, vec![i2, o2, 3, 7]);
+        let (r2, r2_e) = timed(&cfg, &l2, &mut g2);
+
+        assert!(used);
+        assert_eq!(g1.bytes(), g2.bytes(), "results must match");
+        assert!(
+            r2.warp_instrs * 2 < base.warp_instrs,
+            "R2D2 {} vs baseline {} warp instructions",
+            r2.warp_instrs,
+            base.warp_instrs
+        );
+        assert!(r2_e < base_e);
+        // Memory-bound: cycles close to baseline, never catastrophically worse.
+        assert!(r2.cycles < base.cycles * 11 / 10);
+        // Linear instructions are a small fraction (paper Fig. 14: ~1%).
+        assert!(r2.linear_warp_share() < 0.25);
+    }
+
+    #[test]
+    fn r2d2_speeds_up_address_generation_bound_kernel() {
+        // Issue-bound: a long chain of linear index arithmetic per thread with
+        // a single store — the regime where the paper's speedups come from.
+        let mut b = KernelBuilder::new("addrgen", 2);
+        let i = b.global_tid_x();
+        let c = b.ld_param32(1);
+        let mut v = b.mad(i, c, Operand::Imm(5));
+        for step in 0..10 {
+            let s = b.shl_imm(v, 1);
+            v = b.add(s, Operand::Imm(step));
+        }
+        let off = b.shl_imm_wide(i, 2);
+        let p = b.ld_param(0);
+        let addr = b.add_wide(p, off);
+        b.st_global(Ty::B32, addr, 0, v);
+        let k = b.build();
+
+        let cfg = GpuConfig::default().with_num_sms(8);
+        let grid = Dim3::d1(256);
+        let block = Dim3::d1(256);
+        let n = 256 * 256u64;
+
+        let mut g1 = GlobalMem::new();
+        let o1 = g1.alloc(n * 4);
+        let l1 = Launch::new(k.clone(), grid, block, vec![o1, 3]);
+        let (base, base_e) = timed(&cfg, &l1, &mut g1);
+
+        let mut g2 = GlobalMem::new();
+        let o2 = g2.alloc(n * 4);
+        let (l2, used) = make_launch(&cfg, &k, grid, block, vec![o2, 3]);
+        let (r2, r2_e) = timed(&cfg, &l2, &mut g2);
+
+        assert!(used);
+        assert_eq!(g1.bytes(), g2.bytes(), "results must match");
+        assert!(
+            r2.cycles * 12 < base.cycles * 10,
+            "expected >1.2x speedup: R2D2 {} vs baseline {} cycles",
+            r2.cycles,
+            base.cycles
+        );
+        assert!(r2_e < base_e);
     }
 }

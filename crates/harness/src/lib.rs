@@ -39,8 +39,8 @@ pub use export::{
 };
 pub use record::RunRecord;
 pub use runner::{
-    execute, execute_with_profiler, resolve_threads, run_jobs, run_jobs_with, Executor, RunOptions,
-    RunSummary,
+    execute, execute_with_profiler, resolve_threads, run_jobs, run_jobs_with, run_model, Executor,
+    RunOptions, RunSummary,
 };
 pub use spec::{ConfigOverrides, JobSpec, ModelSpec, SCHEMA_VERSION};
 

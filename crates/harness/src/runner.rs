@@ -14,13 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use r2d2_core::transform::make_launch;
+use r2d2_baselines::{measure_ideals_cancellable, IdealCounts};
 use r2d2_energy::EnergyModel;
-use r2d2_sim::{
-    BaselineFilter, CancelToken, GlobalMem, GpuConfig, IssueFilter, Launch, Profiler, SimError,
-    SimSession, Stats,
-};
+use r2d2_sim::{CancelToken, GlobalMem, GpuConfig, Profiler, SimSession, Stats};
 use r2d2_trace::Progress;
+use r2d2_workloads::Workload;
 
 use crate::cache::Cache;
 use crate::record::RunRecord;
@@ -91,27 +89,6 @@ pub fn resolve_threads(spec: &JobSpec) -> u32 {
         .unwrap_or(1)
 }
 
-/// Run one launch, observed by the profiler when one is attached and
-/// watching the cancel token when one is supplied.
-fn sim_one(
-    cfg: &GpuConfig,
-    launch: &Launch,
-    gmem: &mut GlobalMem,
-    filter: &mut dyn IssueFilter,
-    prof: &mut Option<&mut Profiler>,
-    threads: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<Stats, SimError> {
-    let mut session = SimSession::new(cfg).filter(filter).threads(threads);
-    if let Some(token) = cancel {
-        session = session.cancel(token);
-    }
-    match prof {
-        Some(p) => session.sink(*p).run(launch, gmem),
-        None => session.run(launch, gmem),
-    }
-}
-
 /// Execute one job now, ignoring the cache. Errors name the job rather than
 /// panicking so the CLI can report bad ids gracefully.
 ///
@@ -169,135 +146,87 @@ fn execute_inner(
 ) -> Result<RunRecord, String> {
     let w = r2d2_workloads::resolve(&spec.workload, spec.size)
         .ok_or_else(|| format!("unknown workload id {:?}", spec.workload))?;
-    let cfg = spec.overrides.apply();
-    let threads = resolve_threads(spec);
-    let t0 = Instant::now();
+    let cfg = spec.overrides.apply().with_threads(resolve_threads(spec));
     let mut gmem = w.gmem.clone();
-    let mut stats = Stats::default();
-    let mut used_r2d2 = false;
-    let mut ideal = None;
-    // The timing loops poll the token every epoch and the functional Ideals
-    // run every thread block; this check covers the gaps between launches.
-    let check_cancel = || -> Result<(), String> {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            Err(format!(
-                "{}/{}: cancelled between launches",
-                w.name,
-                spec.model.name()
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    match spec.model {
-        ModelSpec::Ideals => {
-            let mut acc = r2d2_baselines::IdealCounts::default();
-            for l in &w.launches {
-                check_cancel()?;
-                let c = r2d2_baselines::measure_ideals_cancellable(l, &mut gmem, cancel)
-                    .map_err(|e| format!("{}/Ideals: {e}", w.name))?;
-                acc.baseline += c.baseline;
-                acc.wp += c.wp;
-                acc.tb += c.tb;
-                acc.ln += c.ln;
-                acc.baseline_warp += c.baseline_warp;
-            }
-            ideal = Some(acc);
-        }
-        ModelSpec::R2d2 => {
-            for l in &w.launches {
-                check_cancel()?;
-                let (launch, used) =
-                    make_launch(&cfg, &l.kernel, l.grid, l.block, l.params.clone());
-                used_r2d2 |= used;
-                let s = sim_one(
-                    &cfg,
-                    &launch,
-                    &mut gmem,
-                    &mut BaselineFilter,
-                    &mut prof,
-                    threads,
-                    cancel,
-                )
-                .map_err(|e| format!("{}/R2D2: {e}", w.name))?;
-                stats.merge_sequential(&s);
-            }
-        }
-        ModelSpec::R2d2With(opts) => {
-            for l in &w.launches {
-                check_cancel()?;
-                let r2 = r2d2_core::transform_with(&l.kernel, &opts);
-                let s = if r2.meta.has_linear() {
-                    used_r2d2 = true;
-                    let mut launch =
-                        r2d2_sim::Launch::new(r2.kernel, l.grid, l.block, l.params.clone());
-                    launch.meta = Some(r2.meta);
-                    sim_one(
-                        &cfg,
-                        &launch,
-                        &mut gmem,
-                        &mut BaselineFilter,
-                        &mut prof,
-                        threads,
-                        cancel,
-                    )
-                } else {
-                    sim_one(
-                        &cfg,
-                        l,
-                        &mut gmem,
-                        &mut BaselineFilter,
-                        &mut prof,
-                        threads,
-                        cancel,
-                    )
-                }
-                .map_err(|e| format!("{}/R2D2(opts): {e}", w.name))?;
-                stats.merge_sequential(&s);
-            }
-        }
-        baseline_like => {
-            let mut filter: Box<dyn IssueFilter> = match baseline_like {
-                ModelSpec::Baseline => Box::new(BaselineFilter),
-                ModelSpec::Dac => Box::new(r2d2_baselines::DacFilter::new()),
-                ModelSpec::Darsie => Box::new(r2d2_baselines::DarsieFilter::new()),
-                ModelSpec::DarsieScalar => Box::new(r2d2_baselines::DarsieScalarFilter::new()),
-                _ => unreachable!("handled above"),
-            };
-            for l in &w.launches {
-                check_cancel()?;
-                let s = sim_one(
-                    &cfg,
-                    l,
-                    &mut gmem,
-                    filter.as_mut(),
-                    &mut prof,
-                    threads,
-                    cancel,
-                )
-                .map_err(|e| format!("{}/{}: {e}", w.name, spec.model.name()))?;
-                stats.merge_sequential(&s);
-            }
+    let mut rec = run_model(spec.model, &w, &cfg, &mut gmem, prof.as_deref_mut(), cancel)?;
+    if absorb {
+        if let Some(p) = prof {
+            rec.stats.absorb_profile(p);
         }
     }
+    Ok(rec)
+}
 
-    if let Some(p) = prof.as_deref() {
+/// Run every launch of `w`, in order, under `model` against `gmem`: the one
+/// path from a machine model to simulated results, shared by [`execute`],
+/// the CLI, the examples and the differential tests.
+///
+/// The model picks its issue filter and, for R2D2, whether the transformed
+/// kernel passes the Sec. 4.4 occupancy gate; `Ideals` counts instructions
+/// functionally instead of timing them. The timing loop shards across
+/// `cfg.threads` threads, bit-identically. A `prof` (pass a fresh one)
+/// observes every launch without altering the returned `Stats`, and its
+/// attribution invariant and cycle total are checked against them. A
+/// triggered `cancel` aborts within one epoch, thread block or launch.
+///
+/// # Errors
+///
+/// A simulation error, cancellation or profiler mismatch, as
+/// `"<workload>/<model>: <cause>"`.
+pub fn run_model(
+    model: ModelSpec,
+    w: &Workload,
+    cfg: &GpuConfig,
+    gmem: &mut GlobalMem,
+    mut prof: Option<&mut Profiler>,
+    cancel: Option<&CancelToken>,
+) -> Result<RunRecord, String> {
+    let t0 = Instant::now();
+    let fail = |e: &dyn std::fmt::Display| format!("{}/{}: {e}", w.name, model.name());
+    let mut stats = Stats::default();
+    let mut used_r2d2 = false;
+    let mut ideal = (model == ModelSpec::Ideals).then(IdealCounts::default);
+    let mut filter = model.filter();
+    for l in &w.launches {
+        // The timing loops poll the token every epoch and the functional
+        // Ideals run every thread block; this check covers the gaps between
+        // launches.
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(fail(&"cancelled between launches"));
+        }
+        if let Some(acc) = ideal.as_mut() {
+            let c = measure_ideals_cancellable(l, gmem, cancel).map_err(|e| fail(&e))?;
+            acc.baseline += c.baseline;
+            acc.wp += c.wp;
+            acc.tb += c.tb;
+            acc.ln += c.ln;
+            acc.baseline_warp += c.baseline_warp;
+            continue;
+        }
+        let transformed = model.transformed_launch(cfg, l);
+        used_r2d2 |= transformed.is_some();
+        let launch = transformed.as_ref().unwrap_or(l);
+        let mut session = SimSession::new(cfg).filter(filter.as_mut());
+        if let Some(token) = cancel {
+            session = session.cancel(token);
+        }
+        let s = match prof.as_deref_mut() {
+            Some(p) => session.sink(p).run(launch, gmem),
+            None => session.run(launch, gmem),
+        };
+        stats.merge_sequential(&s.map_err(|e| fail(&e))?);
+    }
+
+    if let Some(p) = prof {
         // Machine-check the attribution invariant on every profiled run:
         // every SM-cycle is either an issue or exactly one stall bucket.
-        p.check_invariant()
-            .map_err(|e| format!("{}/{}: {e}", w.name, spec.model.name()))?;
+        p.check_invariant().map_err(|e| fail(&e))?;
         if p.total_cycles() != stats.cycles {
-            return Err(format!(
-                "{}/{}: profiler saw {} cycles but stats report {}",
-                w.name,
-                spec.model.name(),
+            return Err(fail(&format_args!(
+                "profiler saw {} cycles but stats report {}",
                 p.total_cycles(),
                 stats.cycles
-            ));
-        }
-        if absorb {
-            stats.absorb_profile(p);
+            )));
         }
     }
 
@@ -493,6 +422,8 @@ pub fn run_jobs_with(specs: &[JobSpec], opts: &RunOptions, cache: &Cache) -> Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use r2d2_isa::{KernelBuilder, Ty};
+    use r2d2_sim::{Dim3, Launch};
     use r2d2_workloads::Size;
 
     #[test]
@@ -502,6 +433,50 @@ mod tests {
         assert!(base.stats.cycles > 0);
         assert!(r2.used_r2d2);
         assert!(r2.stats.warp_instrs < base.stats.warp_instrs);
+    }
+
+    /// The kernel of `r2d2_core::transform`'s fallback test: 1024-thread
+    /// blocks with 32 loaded values live at once fill the register file
+    /// with two blocks, and the thread-index registers the transform adds
+    /// would leave room for one.
+    fn all_values_live_workload() -> Workload {
+        let mut b = KernelBuilder::new("all_live", 1);
+        let i = b.global_tid_x();
+        let off = b.shl_imm_wide(i, 2);
+        let p = b.ld_param(0);
+        let a = b.add_wide(p, off);
+        let vals: Vec<_> = (0..32).map(|k| b.ld_global(Ty::F32, a, k * 8192)).collect();
+        let sum = vals[1..]
+            .iter()
+            .fold(vals[0], |acc, &v| b.add_ty(Ty::F32, acc, v));
+        let i = b.global_tid_x();
+        let off = b.shl_imm_wide(i, 2);
+        let p = b.ld_param(0);
+        let a = b.add_wide(p, off);
+        b.st_global(Ty::F32, a, 0, sum);
+        let mut gmem = GlobalMem::new();
+        let buf = gmem.alloc(32 * 8192);
+        let launch = Launch::new(b.build(), Dim3::d1(2), Dim3::d1(1024), vec![buf]);
+        Workload {
+            name: "all_live",
+            suite: "test",
+            gmem,
+            launches: vec![launch],
+        }
+    }
+
+    #[test]
+    fn both_r2d2_variants_fall_back_when_the_transform_lowers_occupancy() {
+        let w = all_values_live_workload();
+        let cfg = GpuConfig::default().with_num_sms(2);
+        let run = |model| run_model(model, &w, &cfg, &mut w.gmem.clone(), None, None).unwrap();
+        let base = run(ModelSpec::Baseline);
+        let r2 = run(ModelSpec::R2d2);
+        let with = run(ModelSpec::R2d2With(r2d2_core::GenOptions::default()));
+        assert!(!r2.used_r2d2, "R2d2 must launch the original kernel");
+        assert!(!with.used_r2d2, "R2d2With must launch the original kernel");
+        assert_eq!(r2.stats, with.stats);
+        assert_eq!(r2.stats, base.stats, "the fallback runs the original");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! the hash is computed over a canonical text encoding of every knob, so any
 //! change to any knob changes the cache key.
 
+use r2d2_baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
+use r2d2_core::transform::{gate, transform_with};
 use r2d2_core::GenOptions;
-use r2d2_sim::GpuConfig;
+use r2d2_sim::{BaselineFilter, GpuConfig, IssueFilter, Launch};
 use r2d2_workloads::Size;
 
 use crate::json::{self, Value};
@@ -69,6 +71,32 @@ impl ModelSpec {
         }
     }
 
+    /// The issue filter this model's timing runs go through: the optimistic
+    /// DAC and DARSIE front ends, else the stock pipeline (R2D2 changes the
+    /// launch instead, and `Ideals` runs no timing loop).
+    pub(crate) fn filter(self) -> Box<dyn IssueFilter> {
+        match self {
+            ModelSpec::Dac => Box::new(DacFilter::new()),
+            ModelSpec::Darsie => Box::new(DarsieFilter::new()),
+            ModelSpec::DarsieScalar => Box::new(DarsieScalarFilter::new()),
+            ModelSpec::Baseline | ModelSpec::R2d2 | ModelSpec::R2d2With(_) | ModelSpec::Ideals => {
+                Box::new(BaselineFilter)
+            }
+        }
+    }
+
+    /// The launch this model runs in place of `l`, if any. Both R2D2
+    /// variants transform the kernel and keep the result only when it passes
+    /// the Sec. 4.4 occupancy gate; every other model runs `l` as it is.
+    pub(crate) fn transformed_launch(self, cfg: &GpuConfig, l: &Launch) -> Option<Launch> {
+        let opts = match self {
+            ModelSpec::R2d2 => GenOptions::default(),
+            ModelSpec::R2d2With(opts) => opts,
+            _ => return None,
+        };
+        gate(cfg, l, transform_with(&l.kernel, &opts))
+    }
+
     fn to_json(self) -> Value {
         json::s(&self.canonical())
     }
@@ -105,7 +133,7 @@ impl std::str::FromStr for ModelSpec {
     type Err = String;
 
     /// Parse a model name: any [`ModelSpec::canonical`] form, plus the CLI
-    /// aliases `darsie-scalar` and the capitalized display names.
+    /// alias `darsie-scalar`.
     fn from_str(s: &str) -> Result<ModelSpec, String> {
         if s == "darsie-scalar" {
             return Ok(ModelSpec::DarsieScalar);

@@ -4,10 +4,8 @@
 //! Run with: `cargo run --release --example machine_comparison [WORKLOAD]`
 //! e.g. `cargo run --release --example machine_comparison SRAD2`
 
-use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
-use r2d2::core::machine::{run_baseline, run_r2d2, run_with_filter};
+use r2d2::harness::sets::COMPARISON_MODELS;
 use r2d2::prelude::*;
-use r2d2::sim::Stats;
 use r2d2::workloads;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,53 +14,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| panic!("unknown workload {name}; see r2d2::workloads::NAMES"));
     let cfg = GpuConfig::default().with_num_sms(16);
 
-    let mut results: Vec<(&str, Stats, f64)> = Vec::new();
+    let mut results = Vec::new();
     let mut reference: Option<Vec<u8>> = None;
-
-    type ModelFn<'a> = Box<dyn Fn(&Launch, &mut GlobalMem) -> r2d2::core::machine::RunResult + 'a>;
-    let models: Vec<(&str, ModelFn)> = vec![
-        (
-            "Baseline",
-            Box::new(|l, g| run_baseline(&cfg, l, g).unwrap()),
-        ),
-        (
-            "DAC",
-            Box::new(|l, g| run_with_filter(&cfg, l, g, &mut DacFilter::new()).unwrap()),
-        ),
-        (
-            "DARSIE",
-            Box::new(|l, g| run_with_filter(&cfg, l, g, &mut DarsieFilter::new()).unwrap()),
-        ),
-        (
-            "DARSIE+S",
-            Box::new(|l, g| run_with_filter(&cfg, l, g, &mut DarsieScalarFilter::new()).unwrap()),
-        ),
-        (
-            "R2D2",
-            Box::new(|l, g| {
-                run_r2d2(&cfg, &l.kernel, l.grid, l.block, l.params.clone(), g).unwrap()
-            }),
-        ),
-    ];
-
-    for (mname, run) in &models {
+    for model in COMPARISON_MODELS {
         let mut g = w.gmem.clone();
-        let mut stats = Stats::default();
-        let mut energy = 0.0;
-        for l in &w.launches {
-            let r = run(l, &mut g);
-            stats.merge_sequential(&r.stats);
-            energy += r.energy.total_pj();
-        }
+        let rec = run_model(model, &w, &cfg, &mut g, None, None)?;
         match &reference {
             None => reference = Some(g.bytes().to_vec()),
             Some(bytes) => assert_eq!(
                 bytes.as_slice(),
                 g.bytes(),
-                "{mname} changed results — machine models must be value-preserving"
+                "{} changed results — machine models must be value-preserving",
+                model.name()
             ),
         }
-        results.push((mname, stats, energy));
+        results.push((model.name(), rec.stats, rec.energy.total_pj()));
     }
 
     let base = results[0].1.clone();

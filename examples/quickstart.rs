@@ -44,29 +44,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = Dim3::d1(512);
     let block = Dim3::d1(256);
     let n = grid.count() * block.count();
-
-    let setup = |g: &mut GlobalMem| {
-        let x = g.alloc(n * 4);
-        let y = g.alloc(n * 4);
-        for i in 0..n {
-            g.write_f32(x, i, i as f32);
-            g.write_f32(y, i, 1.0);
-        }
-        (x, y)
+    let mut gmem = GlobalMem::new();
+    let x = gmem.alloc(n * 4);
+    let y = gmem.alloc(n * 4);
+    for i in 0..n {
+        gmem.write_f32(x, i, i as f32);
+        gmem.write_f32(y, i, 1.0);
+    }
+    let w = Workload {
+        name: "saxpy",
+        suite: "quickstart",
+        gmem,
+        launches: vec![Launch::new(kernel, grid, block, vec![x, y, 2])],
     };
 
-    let mut g1 = GlobalMem::new();
-    let (x1, y1) = setup(&mut g1);
-    let launch = Launch::new(kernel.clone(), grid, block, vec![x1, y1, 2]);
-    let base = r2d2::core::machine::run_baseline(&cfg, &launch, &mut g1)?;
-
-    let mut g2 = GlobalMem::new();
-    let (x2, y2) = setup(&mut g2);
-    let r2run =
-        r2d2::core::machine::run_r2d2(&cfg, &kernel, grid, block, vec![x2, y2, 2], &mut g2)?;
+    let mut g1 = w.gmem.clone();
+    let base = run_model(ModelSpec::Baseline, &w, &cfg, &mut g1, None, None)?;
+    let mut g2 = w.gmem.clone();
+    let r2run = run_model(ModelSpec::R2d2, &w, &cfg, &mut g2, None, None)?;
 
     assert_eq!(g1.bytes(), g2.bytes(), "bit-identical results");
-    assert_eq!(g1.read_f32(y1, 100), 201.0);
+    assert_eq!(g1.read_f32(y, 100), 201.0);
 
     println!(
         "baseline: {:>9} warp instructions, {:>7} cycles",

@@ -26,25 +26,19 @@
 //! use r2d2::prelude::*;
 //!
 //! // Build a workload, run it on the baseline GPU and on R2D2, compare.
-//! let w = r2d2::workloads::build("BP", r2d2::workloads::Size::Small).unwrap();
+//! let w = r2d2::workloads::build("BP", Size::Small).unwrap();
 //! let cfg = GpuConfig::default().with_num_sms(8);
 //!
 //! let mut g1 = w.gmem.clone();
-//! let mut base = Stats::default();
-//! for l in &w.launches {
-//!     base.merge_sequential(&run_baseline(&cfg, l, &mut g1)?.stats);
-//! }
-//!
+//! let base = run_model(ModelSpec::Baseline, &w, &cfg, &mut g1, None, None)?;
 //! let mut g2 = w.gmem.clone();
-//! let mut r2 = Stats::default();
-//! for l in &w.launches {
-//!     let (launch, _) = make_launch(&cfg, &l.kernel, l.grid, l.block, l.params.clone());
-//!     r2.merge_sequential(&SimSession::new(&cfg).run(&launch, &mut g2)?);
-//! }
+//! let r2 = run_model(ModelSpec::R2d2, &w, &cfg, &mut g2, None, None)?;
 //!
 //! assert_eq!(g1.bytes(), g2.bytes(), "identical results");
-//! assert!(r2.warp_instrs < base.warp_instrs, "fewer dynamic instructions");
-//! # Ok::<(), r2d2::sim::SimError>(())
+//! assert!(r2.used_r2d2, "the transformed kernel fits (Sec. 4.4)");
+//! assert!(r2.stats.warp_instrs < base.stats.warp_instrs, "fewer dynamic instructions");
+//! assert!(r2.energy.total_pj() < base.energy.total_pj(), "less energy");
+//! # Ok::<(), String>(())
 //! ```
 
 pub use r2d2_baselines as baselines;
@@ -61,9 +55,8 @@ pub use r2d2_workloads as workloads;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use r2d2_baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
-    pub use r2d2_core::machine::{run_baseline, run_r2d2, run_with_filter};
     pub use r2d2_core::transform::{make_launch, transform};
+    pub use r2d2_harness::{run_model, ModelSpec};
     pub use r2d2_isa::{Kernel, KernelBuilder, Ty};
     pub use r2d2_sim::{
         BaselineFilter, Dim3, GlobalMem, GpuConfig, IssueFilter, Launch, SimSession, Stats,

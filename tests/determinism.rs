@@ -1,62 +1,28 @@
-//! Back-to-back determinism: repeating a `SimSession` run on the same
-//! launch must return identical `Stats` and identical `GlobalMem` bytes —
+//! Back-to-back determinism: repeating a machine-model run of the same
+//! workload must return identical `Stats` and identical `GlobalMem` bytes —
 //! the property the harness result cache (and every figure script) relies
-//! on. Covers the baseline, DAC, DARSIE, and R2D2 machine models under the
-//! default (event-driven) loop.
+//! on. Covers the five Fig. 12/13/16 machine models under the default
+//! (event-driven) loop.
 
-use r2d2::baselines::{DacFilter, DarsieFilter};
+use r2d2::harness::sets::COMPARISON_MODELS;
 use r2d2::prelude::*;
-use r2d2::sim::{SimSession, Stats};
-use r2d2::workloads::{self, Size};
+use r2d2::workloads;
 
-fn make_filter(model: &str) -> Box<dyn IssueFilter> {
-    match model {
-        "baseline" | "r2d2" => Box::new(BaselineFilter),
-        "dac" => Box::new(DacFilter::new()),
-        "darsie" => Box::new(DarsieFilter::new()),
-        _ => unreachable!("unknown model {model}"),
-    }
-}
-
-fn run_once(w: &workloads::Workload, model: &str) -> (Stats, Vec<u8>) {
+fn run_once(w: &Workload, model: ModelSpec) -> (Stats, Vec<u8>) {
     let cfg = GpuConfig::default().with_num_sms(4);
-    let mut filter = make_filter(model);
     let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
-    for l in &w.launches {
-        if model == "r2d2" {
-            let (launch, _) = r2d2::core::transform::make_launch(
-                &cfg,
-                &l.kernel,
-                l.grid,
-                l.block,
-                l.params.clone(),
-            );
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .run(&launch, &mut g)
-                    .unwrap(),
-            );
-        } else {
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .run(l, &mut g)
-                    .unwrap(),
-            );
-        }
-    }
-    (stats, g.bytes().to_vec())
+    let rec = run_model(model, w, &cfg, &mut g, None, None).unwrap();
+    (rec.stats, g.bytes().to_vec())
 }
 
 #[test]
 fn back_to_back_runs_are_identical() {
     for name in ["BP", "GEM", "HIS", "SRAD2"] {
         let w = workloads::build(name, Size::Small).unwrap();
-        for model in ["baseline", "dac", "darsie", "r2d2"] {
+        for model in COMPARISON_MODELS {
             let (s1, m1) = run_once(&w, model);
             let (s2, m2) = run_once(&w, model);
+            let model = model.name();
             assert_eq!(s1, s2, "{name}/{model}: Stats not deterministic");
             assert_eq!(m1, m2, "{name}/{model}: memory not deterministic");
         }

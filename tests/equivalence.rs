@@ -3,7 +3,7 @@
 //! byte-identical to the original, under both functional and timed execution.
 
 use r2d2::core::transform::transform;
-use r2d2::sim::{functional, GlobalMem, Launch, Stats};
+use r2d2::sim::{functional, GlobalMem, Launch};
 use r2d2::workloads::{self, Size};
 
 const WATCHDOG: u64 = 100_000_000;
@@ -66,7 +66,7 @@ fn every_workload_is_r2d2_equivalent() {
 
 #[test]
 fn timed_baseline_matches_functional_results() {
-    use r2d2::sim::{GpuConfig, SimSession};
+    use r2d2::prelude::{run_model, GpuConfig, ModelSpec};
     let cfg = GpuConfig::default().with_num_sms(8);
     // A representative subset across suites (full-zoo timing runs live in the
     // bench harness).
@@ -75,10 +75,9 @@ fn timed_baseline_matches_functional_results() {
         let mut g1 = w.gmem.clone();
         run_all_functional(&w.launches, &mut g1);
         let mut g2 = w.gmem.clone();
-        let mut stats = Stats::default();
-        for l in &w.launches {
-            stats.merge_sequential(&SimSession::new(&cfg).run(l, &mut g2).unwrap());
-        }
+        let stats = run_model(ModelSpec::Baseline, &w, &cfg, &mut g2, None, None)
+            .unwrap()
+            .stats;
         assert_eq!(
             g1.bytes(),
             g2.bytes(),
@@ -90,22 +89,18 @@ fn timed_baseline_matches_functional_results() {
 
 #[test]
 fn timed_r2d2_matches_baseline_results() {
-    use r2d2::core::transform::make_launch;
-    use r2d2::sim::{GpuConfig, SimSession};
+    use r2d2::prelude::{run_model, GpuConfig, ModelSpec};
     let cfg = GpuConfig::default().with_num_sms(8);
     for name in ["BP", "GEM", "SRAD2", "KM", "CFD", "NN", "FFT_PT"] {
         let w = workloads::build(name, Size::Small).unwrap();
         let mut g1 = w.gmem.clone();
-        let mut base = Stats::default();
-        for l in &w.launches {
-            base.merge_sequential(&SimSession::new(&cfg).run(l, &mut g1).unwrap());
-        }
+        let base = run_model(ModelSpec::Baseline, &w, &cfg, &mut g1, None, None)
+            .unwrap()
+            .stats;
         let mut g2 = w.gmem.clone();
-        let mut r2 = Stats::default();
-        for l in &w.launches {
-            let (launch, _) = make_launch(&cfg, &l.kernel, l.grid, l.block, l.params.clone());
-            r2.merge_sequential(&SimSession::new(&cfg).run(&launch, &mut g2).unwrap());
-        }
+        let r2 = run_model(ModelSpec::R2d2, &w, &cfg, &mut g2, None, None)
+            .unwrap()
+            .stats;
         assert_eq!(g1.bytes(), g2.bytes(), "{name}: timed R2D2 diverged");
         assert!(
             r2.warp_instrs <= base.warp_instrs * 11 / 10,

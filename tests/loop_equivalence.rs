@@ -9,69 +9,27 @@
 //! at the default 80 SMs the figure sweeps use, where most SMs drain or sit
 //! empty and sleep between wakeups.
 
-use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
+use r2d2::harness::sets::COMPARISON_MODELS;
 use r2d2::prelude::*;
-use r2d2::sim::{LoopKind, SimSession, Stats};
-use r2d2::workloads::{self, Size};
+use r2d2::sim::LoopKind;
+use r2d2::workloads;
 
-const MODELS: [&str; 5] = ["baseline", "dac", "darsie", "darsie+s", "r2d2"];
-
-fn make_filter(model: &str) -> Box<dyn IssueFilter> {
-    match model {
-        "baseline" | "r2d2" => Box::new(BaselineFilter),
-        "dac" => Box::new(DacFilter::new()),
-        "darsie" => Box::new(DarsieFilter::new()),
-        "darsie+s" => Box::new(DarsieScalarFilter::new()),
-        _ => unreachable!("unknown model {model}"),
-    }
-}
-
-fn run_model(
-    w: &workloads::Workload,
-    kind: LoopKind,
-    model: &str,
-    num_sms: u32,
-) -> (Stats, Vec<u8>) {
+fn run(w: &Workload, kind: LoopKind, model: ModelSpec, num_sms: u32) -> (Stats, Vec<u8>) {
     let cfg = GpuConfig::default()
         .with_num_sms(num_sms)
         .with_loop_kind(kind);
-    let mut filter = make_filter(model);
     let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
-    for l in &w.launches {
-        if model == "r2d2" {
-            let (launch, _) = r2d2::core::transform::make_launch(
-                &cfg,
-                &l.kernel,
-                l.grid,
-                l.block,
-                l.params.clone(),
-            );
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .run(&launch, &mut g)
-                    .unwrap(),
-            );
-        } else {
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .run(l, &mut g)
-                    .unwrap(),
-            );
-        }
-    }
-    (stats, g.bytes().to_vec())
+    let rec = run_model(model, w, &cfg, &mut g, None, None).unwrap();
+    (rec.stats, g.bytes().to_vec())
 }
 
 fn assert_loops_agree(num_sms: u32) {
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
-        for model in MODELS {
-            let (s_ref, m_ref) = run_model(&w, LoopKind::Lockstep, model, num_sms);
-            let (s_ev, m_ev) = run_model(&w, LoopKind::EventDriven, model, num_sms);
-            let at = format!("{name}/{model}@{num_sms} SMs");
+        for model in COMPARISON_MODELS {
+            let (s_ref, m_ref) = run(&w, LoopKind::Lockstep, model, num_sms);
+            let (s_ev, m_ev) = run(&w, LoopKind::EventDriven, model, num_sms);
+            let at = format!("{name}/{}@{num_sms} SMs", model.name());
             assert_eq!(s_ref, s_ev, "{at}: Stats diverged across loops");
             assert_eq!(m_ref, m_ev, "{at}: memory diverged across loops");
         }

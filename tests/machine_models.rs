@@ -2,27 +2,13 @@
 //! the whole zoo, statistics sanity, and the relative ordering the paper
 //! establishes.
 
-use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
 use r2d2::prelude::*;
-use r2d2::sim::{SimSession, Stats};
-use r2d2::workloads::{self, Size};
+use r2d2::workloads;
 
-fn run_all(
-    w: &workloads::Workload,
-    cfg: &GpuConfig,
-    mut filter: Box<dyn IssueFilter>,
-) -> (Stats, Vec<u8>) {
+fn run_all(w: &Workload, cfg: &GpuConfig, model: ModelSpec) -> (Stats, Vec<u8>) {
     let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
-    for l in &w.launches {
-        stats.merge_sequential(
-            &SimSession::new(cfg)
-                .filter(filter.as_mut())
-                .run(l, &mut g)
-                .unwrap(),
-        );
-    }
-    (stats, g.bytes().to_vec())
+    let rec = run_model(model, w, cfg, &mut g, None, None).unwrap();
+    (rec.stats, g.bytes().to_vec())
 }
 
 #[test]
@@ -30,13 +16,10 @@ fn all_models_preserve_results_across_the_zoo() {
     let cfg = GpuConfig::default().with_num_sms(4);
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
-        let (base, bytes) = run_all(&w, &cfg, Box::new(BaselineFilter));
-        for (mname, f) in [
-            ("dac", Box::new(DacFilter::new()) as Box<dyn IssueFilter>),
-            ("darsie", Box::new(DarsieFilter::new())),
-            ("darsie+s", Box::new(DarsieScalarFilter::new())),
-        ] {
-            let (s, b) = run_all(&w, &cfg, f);
+        let (base, bytes) = run_all(&w, &cfg, ModelSpec::Baseline);
+        for model in [ModelSpec::Dac, ModelSpec::Darsie, ModelSpec::DarsieScalar] {
+            let (s, b) = run_all(&w, &cfg, model);
+            let mname = model.name();
             assert_eq!(bytes, b, "{name}/{mname} changed results");
             assert!(
                 s.warp_instrs_with_skipped() == base.warp_instrs_with_skipped(),
@@ -59,7 +42,7 @@ fn stats_invariants_hold() {
     let cfg = GpuConfig::default().with_num_sms(4);
     for name in ["BP", "SRAD2", "BFS", "GEM", "FFT", "LUD", "HIS"] {
         let w = workloads::build(name, Size::Small).unwrap();
-        let (s, _) = run_all(&w, &cfg, Box::new(BaselineFilter));
+        let (s, _) = run_all(&w, &cfg, ModelSpec::Baseline);
         assert!(s.cycles > 0, "{name}");
         assert!(s.thread_instrs >= s.warp_instrs, "{name}: lanes >= warps");
         assert!(
@@ -84,18 +67,7 @@ fn r2d2_prologue_is_bounded() {
     let cfg = GpuConfig::default().with_num_sms(4);
     for name in ["BP", "SRAD2", "NN", "2DC"] {
         let w = workloads::build(name, Size::Small).unwrap();
-        let mut g = w.gmem.clone();
-        let mut stats = Stats::default();
-        for l in &w.launches {
-            let (launch, _) = r2d2::core::transform::make_launch(
-                &cfg,
-                &l.kernel,
-                l.grid,
-                l.block,
-                l.params.clone(),
-            );
-            stats.merge_sequential(&SimSession::new(&cfg).run(&launch, &mut g).unwrap());
-        }
+        let (stats, _) = run_all(&w, &cfg, ModelSpec::R2d2);
         assert!(
             stats.prologue_cycles <= stats.cycles,
             "{name}: prologue {} beyond total {}",
@@ -119,16 +91,9 @@ fn ideal_ln_beats_wp_and_tb_on_average() {
     ];
     for name in names {
         let w = workloads::build(name, Size::Small).unwrap();
-        let mut g = w.gmem.clone();
-        let mut total = r2d2::baselines::IdealCounts::default();
-        for l in &w.launches {
-            let c = r2d2::baselines::measure_ideals(l, &mut g).unwrap();
-            total.baseline += c.baseline;
-            total.wp += c.wp;
-            total.tb += c.tb;
-            total.ln += c.ln;
-        }
-        let (wp, tb, ln) = total.reductions();
+        let cfg = GpuConfig::default();
+        let rec = run_model(ModelSpec::Ideals, &w, &cfg, &mut w.gmem.clone(), None, None).unwrap();
+        let (wp, tb, ln) = rec.ideal.unwrap().reductions();
         sums.0 += wp;
         sums.1 += tb;
         sums.2 += ln;

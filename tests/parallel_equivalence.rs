@@ -8,70 +8,31 @@
 //! `r2d2_sim::timing::shard` — see DESIGN.md "Sharded execution & epoch
 //! protocol".
 
-use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
+use r2d2::harness::sets::COMPARISON_MODELS;
 use r2d2::prelude::*;
-use r2d2::sim::{LoopKind, Profiler, SimSession, Stats};
-use r2d2::workloads::{self, Size};
+use r2d2::sim::{LoopKind, Profiler};
+use r2d2::workloads;
 
 /// 8 SMs so `threads = 8` genuinely runs eight single-SM shards.
 const NUM_SMS: u32 = 8;
-const MODELS: [&str; 5] = ["baseline", "dac", "darsie", "darsie+s", "r2d2"];
-
-fn make_filter(model: &str) -> Box<dyn IssueFilter> {
-    match model {
-        "baseline" | "r2d2" => Box::new(BaselineFilter),
-        "dac" => Box::new(DacFilter::new()),
-        "darsie" => Box::new(DarsieFilter::new()),
-        "darsie+s" => Box::new(DarsieScalarFilter::new()),
-        _ => unreachable!("unknown model {model}"),
-    }
-}
-
-fn cfg_for(kind: LoopKind) -> GpuConfig {
-    GpuConfig::default()
-        .with_num_sms(NUM_SMS)
-        .with_loop_kind(kind)
-}
 
 /// Run every launch of `w` under `model`, optionally profiled, and return
 /// the merged stats, final memory image, and profiler (if any).
 fn run_zoo(
-    w: &workloads::Workload,
+    w: &Workload,
     kind: LoopKind,
-    model: &str,
+    model: ModelSpec,
     threads: u32,
     profiled: bool,
 ) -> (Stats, Vec<u8>, Option<Profiler>) {
-    let cfg = cfg_for(kind);
-    let mut filter = make_filter(model);
+    let cfg = GpuConfig::default()
+        .with_num_sms(NUM_SMS)
+        .with_loop_kind(kind)
+        .with_threads(threads);
     let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
     let mut prof = profiled.then(|| Profiler::new(64));
-    for l in &w.launches {
-        let owned;
-        let launch = if model == "r2d2" {
-            let (launch, _) = r2d2::core::transform::make_launch(
-                &cfg,
-                &l.kernel,
-                l.grid,
-                l.block,
-                l.params.clone(),
-            );
-            owned = launch;
-            &owned
-        } else {
-            l
-        };
-        let session = SimSession::new(&cfg)
-            .filter(filter.as_mut())
-            .threads(threads);
-        let s = match prof.as_mut() {
-            Some(p) => session.sink(p).run(launch, &mut g),
-            None => session.run(launch, &mut g),
-        };
-        stats.merge_sequential(&s.unwrap());
-    }
-    (stats, g.bytes().to_vec(), prof)
+    let rec = run_model(model, w, &cfg, &mut g, prof.as_mut(), None).unwrap();
+    (rec.stats, g.bytes().to_vec(), prof)
 }
 
 #[test]
@@ -79,11 +40,12 @@ fn sharded_runs_are_bit_identical_across_zoo_models_and_loops() {
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
         for kind in [LoopKind::Lockstep, LoopKind::EventDriven] {
-            for model in MODELS {
-                let (s_ref, m_ref, p_ref) = run_zoo(&w, kind, model, 1, true);
+            for spec in COMPARISON_MODELS {
+                let model = spec.name();
+                let (s_ref, m_ref, p_ref) = run_zoo(&w, kind, spec, 1, true);
                 let p_ref = p_ref.unwrap();
                 for threads in [2, 8] {
-                    let (s_par, m_par, p_par) = run_zoo(&w, kind, model, threads, true);
+                    let (s_par, m_par, p_par) = run_zoo(&w, kind, spec, threads, true);
                     let p_par = p_par.unwrap();
                     assert_eq!(
                         s_ref, s_par,
@@ -129,9 +91,9 @@ fn sharded_runs_are_deterministic_across_repeats() {
     for name in ["GEM", "HIS", "SSSP", "BFS"] {
         let w = workloads::build(name, Size::Small).unwrap();
         for kind in [LoopKind::Lockstep, LoopKind::EventDriven] {
-            let (s0, m0, p0) = run_zoo(&w, kind, "baseline", 8, true);
+            let (s0, m0, p0) = run_zoo(&w, kind, ModelSpec::Baseline, 8, true);
             for _ in 0..2 {
-                let (s, m, p) = run_zoo(&w, kind, "baseline", 8, true);
+                let (s, m, p) = run_zoo(&w, kind, ModelSpec::Baseline, 8, true);
                 assert_eq!(s0, s, "{name}/{kind:?}: Stats not repeatable");
                 assert_eq!(m0, m, "{name}/{kind:?}: memory not repeatable");
                 assert_eq!(

@@ -16,72 +16,33 @@
 //!    simulation: `Stats` (minus the profile fields it fills in) and memory
 //!    match an unobserved run.
 
-use r2d2::baselines::{DacFilter, DarsieFilter, DarsieScalarFilter};
+use r2d2::harness::sets::COMPARISON_MODELS;
 use r2d2::prelude::*;
-use r2d2::sim::{LoopKind, Profiler, SimSession, Stats};
-use r2d2::workloads::{self, Size};
-
-const MODELS: [&str; 5] = ["baseline", "dac", "darsie", "darsie+s", "r2d2"];
-
-fn make_filter(model: &str) -> Box<dyn IssueFilter> {
-    match model {
-        "baseline" | "r2d2" => Box::new(BaselineFilter),
-        "dac" => Box::new(DacFilter::new()),
-        "darsie" => Box::new(DarsieFilter::new()),
-        "darsie+s" => Box::new(DarsieScalarFilter::new()),
-        _ => unreachable!("unknown model {model}"),
-    }
-}
+use r2d2::sim::{LoopKind, Profiler};
+use r2d2::workloads;
 
 fn run_profiled(
-    w: &workloads::Workload,
+    w: &Workload,
     kind: LoopKind,
-    model: &str,
+    model: ModelSpec,
     num_sms: u32,
-) -> (Stats, Profiler) {
+) -> (Stats, Vec<u8>, Profiler) {
     let cfg = GpuConfig::default()
         .with_num_sms(num_sms)
         .with_loop_kind(kind);
-    let mut filter = make_filter(model);
     let mut g = w.gmem.clone();
-    let mut stats = Stats::default();
     let mut prof = Profiler::new(64);
-    for l in &w.launches {
-        if model == "r2d2" {
-            let (launch, _) = r2d2::core::transform::make_launch(
-                &cfg,
-                &l.kernel,
-                l.grid,
-                l.block,
-                l.params.clone(),
-            );
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .sink(&mut prof)
-                    .run(&launch, &mut g)
-                    .unwrap(),
-            );
-        } else {
-            stats.merge_sequential(
-                &SimSession::new(&cfg)
-                    .filter(filter.as_mut())
-                    .sink(&mut prof)
-                    .run(l, &mut g)
-                    .unwrap(),
-            );
-        }
-    }
-    (stats, prof)
+    let rec = run_model(model, w, &cfg, &mut g, Some(&mut prof), None).unwrap();
+    (rec.stats, g.bytes().to_vec(), prof)
 }
 
 fn assert_attribution_agrees(num_sms: u32) {
     for (name, _) in workloads::NAMES {
         let w = workloads::build(name, Size::Small).unwrap();
-        for model in MODELS {
-            let (s_ref, p_ref) = run_profiled(&w, LoopKind::Lockstep, model, num_sms);
-            let (s_ev, p_ev) = run_profiled(&w, LoopKind::EventDriven, model, num_sms);
-            let model = format!("{model}@{num_sms} SMs");
+        for model in COMPARISON_MODELS {
+            let (s_ref, _, p_ref) = run_profiled(&w, LoopKind::Lockstep, model, num_sms);
+            let (s_ev, _, p_ev) = run_profiled(&w, LoopKind::EventDriven, model, num_sms);
+            let model = format!("{}@{num_sms} SMs", model.name());
 
             for (loop_name, s, p) in [("lockstep", &s_ref, &p_ref), ("event", &s_ev, &p_ev)] {
                 p.check_invariant()
@@ -130,29 +91,15 @@ fn profiler_is_a_pure_observer() {
         let cfg = GpuConfig::default().with_num_sms(4);
 
         let mut g_plain = w.gmem.clone();
-        let mut plain = Stats::default();
-        for l in &w.launches {
-            plain.merge_sequential(&SimSession::new(&cfg).run(l, &mut g_plain).unwrap());
-        }
+        let plain = run_model(ModelSpec::Baseline, &w, &cfg, &mut g_plain, None, None)
+            .unwrap()
+            .stats;
 
-        let (mut observed, prof) = run_profiled(&w, LoopKind::default(), "baseline", 4);
-        let (s_g, _) = {
-            // Re-run for the memory image (run_profiled drops it).
-            let mut g = w.gmem.clone();
-            let mut f = make_filter("baseline");
-            let mut p = Profiler::new(64);
-            for l in &w.launches {
-                SimSession::new(&cfg)
-                    .filter(f.as_mut())
-                    .sink(&mut p)
-                    .run(l, &mut g)
-                    .unwrap();
-            }
-            (g, p)
-        };
+        let (mut observed, s_g, prof) =
+            run_profiled(&w, LoopKind::default(), ModelSpec::Baseline, 4);
         assert_eq!(
             g_plain.bytes(),
-            s_g.bytes(),
+            s_g,
             "{name}: profiling changed the memory image"
         );
 
